@@ -66,9 +66,10 @@ distributed::DdpResult Engine::train_ddp(
                                 "fresh per-worker replicas)");
   const ModelSpec spec = spec_;
   // Dispatch on the resolved execution mode: "procs" runs the supervised
-  // multi-process executor (proc_ddp.cpp), anything else the in-process
-  // threaded one. Both initialize replicas from Rng(config.seed) through
-  // the same factories, so the two modes are bit-identical.
+  // multi-process backend (proc_ddp.cpp), "threads" the in-process one —
+  // resolve() rejects anything else. Both initialize replicas from
+  // Rng(config.seed) through the same factories and share one epoch
+  // driver, so the two modes are bit-identical.
   distributed::DdpResult result;
   if (distributed::resolve(config, config_).mode == "procs") {
     result = distributed::train_ddp_procs(spec, data, config, config_);

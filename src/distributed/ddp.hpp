@@ -5,18 +5,24 @@
 // (Table 9). This environment has no GPUs, so we build the DDP mechanics
 // ourselves and measure/model the scaling:
 //
-//  * train_ddp — real multi-worker data parallelism over std::threads for
-//    ANY models::KgeModel. Every batch is cut into fixed-size shards; each
-//    worker drives its replica through the compiled-batch pipeline (the
-//    model's ScoringRecipe, per-worker sparse::PlanCache — zero incidence
-//    rebuilds after epoch 0 on the fixed-order protocol) and produces a
-//    per-shard gradient. Gradients are combined by a sparse-aware
-//    all-reduce: only the embedding rows in a shard's incidence support
-//    travel (everything outside it is identically zero), and shards reduce
-//    in shard-index order — so the result is bit-identical no matter how
-//    many workers executed them. Fed a kg::StreamingTripletStore the
-//    trainer reads positives as zero-copy spans over the mapping and
-//    samples negatives per batch, never materialising the file in RAM.
+//  * One epoch driver, two executors. run_ddp (driver.hpp) owns the epoch
+//    loop for ANY models::KgeModel: every batch is cut into fixed-size
+//    shards, each shard runs forward + backward through the compiled-batch
+//    pipeline (the model's ScoringRecipe, a per-replica sparse::PlanCache —
+//    zero incidence rebuilds after epoch 0 on the fixed-order protocol) and
+//    yields a per-shard gradient, and the driver combines them with a
+//    sparse-aware all-reduce: only the embedding rows in a shard's
+//    incidence support travel (everything outside it is identically zero),
+//    reduced in shard-index order — so the result is bit-identical no
+//    matter how many workers executed the shards, or where. The shards run
+//    on one of two ShardExecutor backends:
+//      - train_ddp (this header, ddp.cpp): in-process workers, as pool
+//        tasks or (SPTX_RUNTIME=legacy) runtime::Threads;
+//      - train_ddp_procs (proc_ddp.hpp): supervised worker processes over
+//        the sockets/shm transport, with process-level fault isolation.
+//    Fed a kg::StreamingTripletStore the trainer reads positives as
+//    zero-copy spans over the mapping and samples negatives per batch,
+//    never materialising the file in RAM.
 //  * ScalingModel — an analytic DDP cost model,
 //        T(p) = T_compute / (p · eff(p)) + epochs · T_allreduce(p),
 //    with ring all-reduce time 2·(p−1)/p · bytes / bandwidth + latency
@@ -66,8 +72,9 @@ struct DdpConfig {
   /// Worker-failure recovery budget for the whole run: when a worker dies
   /// (throws — including injected `ddp_worker` faults), its replica's
   /// half-accumulated gradients are scrubbed and the missing shards re-run
-  /// on the driving thread; the epoch then completes bit-identically
-  /// (reduction is shard-index-ordered, so WHO ran a shard never matters).
+  /// on the driver's master replica; the epoch then completes
+  /// bit-identically (reduction is shard-index-ordered, so WHO ran a shard
+  /// never matters).
   /// Once the budget is exhausted the run aborts cleanly: parameters are
   /// flushed to `<checkpoint_path>.abort` (they are consistent — a batch's
   /// update is all-or-nothing) and Error{kWorkerFailed} is thrown. No
@@ -75,8 +82,8 @@ struct DdpConfig {
   int max_worker_retries = 1;
   /// Crash safety, mirroring train::TrainConfig: rotated atomic
   /// checkpoints every N epochs (DDP epochs are self-contained — the data
-  /// RNG reseeds per epoch — so a checkpoint is just replica-0 parameters
-  /// + the epoch cursor, and resume is trivially bit-identical).
+  /// RNG reseeds per epoch — so a checkpoint is just the master replica's
+  /// parameters + the epoch cursor, and resume is trivially bit-identical).
   /// SPTX_CHECKPOINT_EVERY / SPTX_CHECKPOINT_KEEP override.
   int checkpoint_every = 0;
   std::string checkpoint_path;
@@ -87,7 +94,8 @@ struct DdpConfig {
   /// "threads" (this file) or "procs": supervised worker *processes* over
   /// the UDS/shm transport — bit-identical results, process-level fault
   /// isolation (a worker SIGKILL/OOM cannot take down the trainer).
-  /// SPTX_DDP_MODE overrides. Engine::train_ddp dispatches on this.
+  /// SPTX_DDP_MODE overrides. Engine::train_ddp dispatches on this;
+  /// resolve() rejects any other value with Error{kPrecondition}.
   std::string mode = "threads";
   /// Procs-mode liveness deadline: a worker that sends no frame (data or
   /// heartbeat) for this long is declared lost. SPTX_DDP_HEARTBEAT_MS
@@ -96,7 +104,8 @@ struct DdpConfig {
   /// What procs mode does once the respawn budget (max_worker_retries) is
   /// exhausted: "strict" flushes `<checkpoint_path>.abort` and throws
   /// Error{kWorkerLost}; "degrade" keeps training on the surviving workers
-  /// (down to the supervisor alone). SPTX_DDP_POLICY overrides.
+  /// (down to the supervisor alone). SPTX_DDP_POLICY overrides; resolve()
+  /// rejects any other value with Error{kPrecondition}.
   std::string policy = "strict";
   /// Per-worker shared-memory ring bytes for gradient payloads (0 = socket
   /// inline only; oversized payloads always fall back to the socket).
@@ -116,23 +125,24 @@ struct DdpResult {
   double total_seconds = 0.0;
   std::vector<float> epoch_loss;
   std::vector<double> epoch_seconds;
-  /// Worker replica 0 after training (all replicas are bit-identical).
+  /// The master replica after training (all replicas are bit-identical).
   std::unique_ptr<models::KgeModel> model;
   // ---- resolved configuration -------------------------------------------
   int workers = 0;
   index_t shard_size = 0;
   // ---- counters (profiling/counters.hpp windows over this run) ----------
-  std::int64_t shards_executed = 0;    // kDdpShards
+  std::int64_t shards_executed = 0;    // kDdpShards: shards reduced
   std::int64_t allreduce_rows = 0;     // kDdpAllReduceRows (sparse path)
   std::int64_t dense_reduces = 0;      // kDdpDenseReduces (fallback path)
   std::int64_t incidence_builds = 0;   // kIncidenceBuilds
-  /// Per-worker plan-cache traffic, and the aggregate over all workers.
+  /// Per-replica plan-cache traffic (the master's first; procs mode sees
+  /// only the supervisor's master), and the aggregate.
   std::vector<sparse::PlanCache::Stats> worker_plan_stats;
   sparse::PlanCache::Stats plan_stats;
   // ---- fault tolerance ---------------------------------------------------
   /// First epoch this run executed (> 0 when resumed).
   int start_epoch = 0;
-  /// Worker deaths detected and shards re-run on the driving thread.
+  /// Worker deaths detected, and shards the master re-ran for them.
   int worker_failures = 0;
   std::int64_t shards_reassigned = 0;
   /// Crash-safety traffic: rotated checkpoints written, newest path.
@@ -159,7 +169,7 @@ DdpResult train_ddp(
     const kg::TripletSource& data, const DdpConfig& config);
 
 /// Apply the registry's DDP overrides (SPTX_DDP_WORKERS / SPTX_DDP_SHARD /
-/// SPTX_DDP_PLAN_CACHE) to `config`.
+/// SPTX_DDP_PLAN_CACHE / ...) to `config`, and validate mode and policy.
 DdpConfig resolve(const DdpConfig& config, const RuntimeConfig& rc);
 
 /// Engine path: resolve against an explicit snapshot instead of the

@@ -17,15 +17,12 @@
 
 #include "src/common/error.hpp"
 #include "src/common/fault.hpp"
-#include "src/common/simd.hpp"
 #include "src/common/thread_annotations.hpp"
-#include "src/distributed/shard_grads.hpp"
+#include "src/distributed/driver.hpp"
 #include "src/distributed/transport.hpp"
-#include "src/kg/negative_sampler.hpp"
 #include "src/kg/streaming_store.hpp"
 #include "src/models/checkpoint.hpp"
 #include "src/profiling/counters.hpp"
-#include "src/profiling/timer.hpp"
 #include "src/runtime/task_pool.hpp"
 
 namespace sptx::distributed {
@@ -90,7 +87,6 @@ struct SetupMsg {
   index_t num_entities = 0;
   index_t num_relations = 0;
   std::string data_path;
-  int epochs = 0;
   index_t batch_size = 0;
   index_t shard_size = 0;
   float lr = 0.0f;
@@ -98,7 +94,6 @@ struct SetupMsg {
   bool plan_cache = true;
   int heartbeat_ms = 1000;
   int rank = 0;
-  int start_epoch = 0;
   std::string resume_ckpt;  // empty = fresh init from the spec seed
 };
 
@@ -117,7 +112,6 @@ std::string encode_setup(const SetupMsg& s) {
   w.i64(s.num_entities);
   w.i64(s.num_relations);
   w.str(s.data_path);
-  w.i32(s.epochs);
   w.i64(s.batch_size);
   w.i64(s.shard_size);
   w.f32(s.lr);
@@ -125,7 +119,6 @@ std::string encode_setup(const SetupMsg& s) {
   w.u32(s.plan_cache ? 1 : 0);
   w.i32(s.heartbeat_ms);
   w.i32(s.rank);
-  w.i32(s.start_epoch);
   w.str(s.resume_ckpt);
   return w.take();
 }
@@ -146,7 +139,6 @@ SetupMsg decode_setup(std::string_view payload) {
   s.num_entities = r.i64();
   s.num_relations = r.i64();
   s.data_path = r.str();
-  s.epochs = r.i32();
   s.batch_size = r.i64();
   s.shard_size = r.i64();
   s.lr = r.f32();
@@ -154,7 +146,6 @@ SetupMsg decode_setup(std::string_view payload) {
   s.plan_cache = r.u32() != 0;
   s.heartbeat_ms = r.i32();
   s.rank = r.i32();
-  s.start_epoch = r.i32();
   s.resume_ckpt = r.str();
   return s;
 }
@@ -240,126 +231,11 @@ void decode_shard_grad(std::string_view payload, int& epoch,
   }
 }
 
-// ---- shard execution (shared by worker processes and supervisor re-runs) ---
+// ---- step frames -----------------------------------------------------------
 
-/// One model replica plus the compiled-batch machinery around it. Both the
-/// supervisor's master and every worker process hold exactly one.
-struct Replica {
-  std::unique_ptr<models::KgeModel> model;
-  models::ScoringCoreModel* scoring = nullptr;
-  std::vector<autograd::Variable> params;
-  std::vector<models::ParamIndexSpace> spaces;
-  sparse::ScoringRecipe recipe;
-  std::unique_ptr<sparse::PlanCache> cache;  // nullptr = caching off
-  bool support_verified = false;
-
-  void init(std::unique_ptr<models::KgeModel> m, bool use_cache) {
-    model = std::move(m);
-    scoring = dynamic_cast<models::ScoringCoreModel*>(model.get());
-    params = model->params();
-    spaces = model->param_index_spaces();
-    if (scoring != nullptr) recipe = scoring->recipe();
-    if (use_cache) cache = std::make_unique<sparse::PlanCache>();
-    // Materialise every gradient buffer (zeroed) up front, mirroring the
-    // threaded path.
-    for (auto& param : params) param.grad();
-  }
-};
-
-/// Forward + backward + harvest for one shard — operation-for-operation the
-/// threaded executor's run_shard, so a shard computed here is bit-identical
-/// to one computed by a ddp.cpp worker thread. Returns the weighted loss.
-float compute_shard(Replica& rep, std::span<const Triplet> pos_all,
-                    std::span<const Triplet> neg_all, index_t count,
-                    index_t shard_size, index_t s,
-                    index_t shard_ordinal_base, index_t n_ent, index_t n_rel,
-                    ShardGrads& out) {
-  const index_t s_begin = s * shard_size;
-  const index_t n_s = std::min<index_t>(shard_size, count - s_begin);
-  const std::span<const Triplet> pos = pos_all.subspan(
-      static_cast<std::size_t>(s_begin), static_cast<std::size_t>(n_s));
-  const std::span<const Triplet> neg = neg_all.subspan(
-      static_cast<std::size_t>(s_begin), static_cast<std::size_t>(n_s));
-  profiling::count_event(profiling::Counter::kDdpShards);
-
-  autograd::Variable loss;
-  if (rep.scoring != nullptr) {
-    const sparse::PlanCache::Key key =
-        static_cast<sparse::PlanCache::Key>(shard_ordinal_base + s) << 1;
-    std::shared_ptr<const sparse::CompiledBatch> pos_plan =
-        rep.cache != nullptr ? rep.cache->find(key) : nullptr;
-    if (!pos_plan) {
-      pos_plan = sparse::CompiledBatch::compile(pos, rep.recipe, n_ent, n_rel,
-                                                /*copy_triplets=*/false);
-      if (rep.cache != nullptr) rep.cache->put(key, pos_plan);
-    }
-    std::shared_ptr<const sparse::CompiledBatch> neg_plan =
-        rep.cache != nullptr ? rep.cache->find(key | 1) : nullptr;
-    if (!neg_plan) {
-      neg_plan = sparse::CompiledBatch::compile_owned(
-          std::vector<Triplet>(neg.begin(), neg.end()), rep.recipe, n_ent,
-          n_rel);
-      if (rep.cache != nullptr) rep.cache->put(key | 1, neg_plan);
-    }
-    loss = rep.scoring->loss(*pos_plan, *neg_plan);
-  } else {
-    loss = rep.model->loss(pos, neg);
-  }
-
-  const float weight = static_cast<float>(n_s) / static_cast<float>(count);
-  autograd::scale(loss, weight).backward();
-  harvest_shard_grads(rep.params, rep.spaces, pos, neg, n_ent, n_rel, out);
-  if (!rep.support_verified) {
-    verify_support_exhausts_grads(rep.params, *rep.model);
-    rep.support_verified = true;
-  }
-  return loss.value().at(0, 0) * weight;
-}
-
-/// The per-parameter row support of a batch's reduced gradient — the rows
-/// the step touches. Identical derivation to the threaded path's step
-/// broadcast block.
-struct StepRows {
-  std::vector<index_t> ents, rels, stacked;
-  std::vector<std::vector<index_t>> blocks;  // per-param kRelationBlocks
-  std::vector<const std::vector<index_t>*> rows;  // nullptr = dense param
-
-  StepRows(Replica& rep, std::span<const Triplet> pos_all,
-           std::span<const Triplet> neg_all, index_t n_ent, index_t n_rel) {
-    ents = touched_entity_ids(pos_all, neg_all);
-    rels = touched_relation_ids(pos_all, neg_all);
-    blocks.resize(rep.params.size());
-    rows.resize(rep.params.size(), nullptr);
-    for (std::size_t i = 0; i < rep.params.size(); ++i) {
-      switch (rep.spaces[i]) {
-        case models::ParamIndexSpace::kDense:
-          break;  // rows[i] stays nullptr
-        case models::ParamIndexSpace::kEntity:
-          rows[i] = &ents;
-          break;
-        case models::ParamIndexSpace::kRelation:
-          rows[i] = &rels;
-          break;
-        case models::ParamIndexSpace::kRelationBlocks:
-          blocks[i] = expand_relation_blocks(
-              rels, rep.params[i].grad().rows(), n_rel);
-          rows[i] = &blocks[i];
-          break;
-        default:
-          if (stacked.empty()) {
-            stacked = ents;
-            for (index_t r : rels) stacked.push_back(n_ent + r);
-          }
-          rows[i] = &stacked;
-          break;
-      }
-    }
-  }
-};
-
-/// Step payload: the reduced gradient restricted to the batch support. The
-/// bytes are replica-0's gradient rows verbatim, so every process applies
-/// bit-identical axpy updates.
+/// Step payload: the master's reduced gradient over the batch support,
+/// row by row in StepRows order (every row of a dense parameter). Row ids
+/// do not travel: each worker derives the same StepRows from its batch.
 std::string encode_step(int epoch, std::int64_t batch, Replica& rep,
                         const StepRows& support) {
   WireWriter w;
@@ -367,32 +243,25 @@ std::string encode_step(int epoch, std::int64_t batch, Replica& rep,
   w.i64(batch);
   w.u32(static_cast<std::uint32_t>(rep.params.size()));
   for (std::size_t i = 0; i < rep.params.size(); ++i) {
-    const Matrix& g0 = rep.params[i].grad();
-    if (support.rows[i] == nullptr) {  // dense parameter: full matrix
-      w.u32(0);
-      w.i64(g0.rows());
-      w.i64(g0.cols());
-      for (index_t k = 0; k < g0.rows(); ++k)
-        w.bytes(g0.row(k),
-                static_cast<std::size_t>(g0.cols()) * sizeof(float));
+    const Matrix& g = rep.params[i].grad();
+    const auto row_bytes = static_cast<std::size_t>(g.cols()) * sizeof(float);
+    if (support.rows[i] == nullptr) {
+      w.i64(g.rows());
+      for (index_t k = 0; k < g.rows(); ++k) w.bytes(g.row(k), row_bytes);
     } else {
-      const std::vector<index_t>& rows = *support.rows[i];
-      w.u32(1);
-      w.i64(static_cast<std::int64_t>(rows.size()));
-      w.i64(g0.cols());
-      w.bytes(rows.data(), rows.size() * sizeof(index_t));
-      for (index_t row : rows)
-        w.bytes(g0.row(row),
-                static_cast<std::size_t>(g0.cols()) * sizeof(float));
+      w.i64(static_cast<std::int64_t>(support.rows[i]->size()));
+      for (index_t row : *support.rows[i]) w.bytes(g.row(row), row_bytes);
     }
   }
   return w.take();
 }
 
-/// Apply a step frame to a replica: the same axpy / post-zero discipline as
-/// the threaded broadcast, sourced from the frame instead of local g0.
-void apply_step(std::string_view payload, Replica& rep, float lr,
-                int expect_epoch, std::int64_t expect_batch) {
+/// Apply a step frame: load the reduced gradient into the replica's own
+/// buffers, then take the master's step through the same step_and_clear —
+/// so every process applies bit-identical updates.
+void apply_step(std::string_view payload, Replica& rep,
+                const StepRows& support, float lr, int expect_epoch,
+                std::int64_t expect_batch) {
   WireReader r(payload);
   const int epoch = r.i32();
   const std::int64_t batch = r.i64();
@@ -405,72 +274,43 @@ void apply_step(std::string_view payload, Replica& rep, float lr,
   SPTX_CHECK_CODE(num_params == rep.params.size(),
                   ErrorCode::kTransportError, "step frame parameter count "
                       << num_params << " != " << rep.params.size());
-  std::vector<float> scratch;
-  std::vector<index_t> rows;
-  for (std::uint32_t i = 0; i < num_params; ++i) {
-    const std::uint32_t kind = r.u32();
+  for (std::size_t i = 0; i < rep.params.size(); ++i) {
+    Matrix& g = rep.params[i].grad();
+    const std::vector<index_t>* rows = support.rows[i];
     const index_t nrows = r.i64();
-    const index_t cols = r.i64();
-    Matrix& v = rep.params[i].mutable_value();
-    scratch.resize(static_cast<std::size_t>(cols));
-    if (kind == 0) {  // dense: whole-matrix axpy, matching axpy_(-lr, g0)
-      Matrix g(nrows, cols);
-      for (index_t k = 0; k < nrows; ++k) {
-        const std::string_view raw =
-            r.raw(static_cast<std::size_t>(cols) * sizeof(float));
-        std::memcpy(g.row(k), raw.data(), raw.size());
-      }
-      v.axpy_(-lr, g);
-    } else {
-      rows.resize(static_cast<std::size_t>(nrows));
-      const std::string_view raw_rows =
-          r.raw(static_cast<std::size_t>(nrows) * sizeof(index_t));
-      std::memcpy(rows.data(), raw_rows.data(), raw_rows.size());
-      for (index_t k = 0; k < nrows; ++k) {
-        const std::string_view raw =
-            r.raw(static_cast<std::size_t>(cols) * sizeof(float));
-        std::memcpy(scratch.data(), raw.data(), raw.size());
-        simd::axpy(v.row(rows[static_cast<std::size_t>(k)]), scratch.data(),
-                   -lr, cols);
-      }
+    SPTX_CHECK_CODE(
+        nrows == (rows != nullptr ? static_cast<index_t>(rows->size())
+                                  : g.rows()),
+        ErrorCode::kTransportError,
+        "step frame carries " << nrows << " rows for parameter " << i
+                              << ", not this batch's support — "
+                                 "desynchronized");
+    const auto row_bytes = static_cast<std::size_t>(g.cols()) * sizeof(float);
+    for (index_t k = 0; k < nrows; ++k) {
+      const std::string_view raw = r.raw(row_bytes);
+      const index_t row =
+          rows != nullptr ? (*rows)[static_cast<std::size_t>(k)] : k;
+      std::memcpy(g.row(row), raw.data(), row_bytes);
     }
   }
-  rep.model->post_step();
+  step_and_clear(rep, support, lr);
 }
 
 // ---- worker process --------------------------------------------------------
 
-/// Run one epoch on the worker side. Returns false when a kShutdown frame
-/// arrived instead of the expected step (clean early exit).
+/// Run one epoch on the worker side: compute and ship the owned shards of
+/// every batch, then apply the batch's step frame. Returns false when a
+/// kShutdown frame arrived instead of the expected step (clean early exit).
 bool worker_run_epoch(Conn& conn, Mutex& send_mu, Replica& rep,
-                      const kg::TripletSource& data,
-                      kg::NegativeSampler& sampler, const SetupMsg& setup,
+                      const kg::TripletSource& data, const SetupMsg& setup,
                       int epoch, const std::vector<int>& live_ranks) {
-  const index_t m = data.size();
-  const index_t n_ent = setup.num_entities;
-  const index_t n_rel = setup.num_relations;
   bool mine = false;
   for (int rk : live_ranks) mine |= (rk == setup.rank);
   SPTX_CHECK_CODE(mine, ErrorCode::kTransportError,
                   "epoch plan does not include this worker (rank "
                       << setup.rank << ")");
-
-  Rng data_rng(setup.run_seed + 1);
-  index_t shard_ordinal_base = 0;
-  std::int64_t batch_ord = 0;
-  for (index_t begin = 0; begin < m;
-       begin += setup.batch_size, ++batch_ord) {
-    const index_t count = std::min<index_t>(setup.batch_size, m - begin);
-    const index_t num_shards = (count + setup.shard_size - 1) /
-                               setup.shard_size;
-    const std::span<const Triplet> pos_all = data.slice(begin, count);
-    // Every worker derives the whole batch's negatives even when it owns no
-    // shard in it: the RNG stream must advance identically everywhere.
-    const std::vector<Triplet> negatives =
-        sampler.pregenerate(pos_all, data_rng);
-    const std::span<const Triplet> neg_all(negatives);
-
-    for (index_t s = 0; s < num_shards; ++s) {
+  const auto work = [&](const Batch& batch) {
+    for (index_t s = 0; s < batch.num_shards; ++s) {
       const int owner = live_ranks[static_cast<std::size_t>(s) %
                                    live_ranks.size()];
       if (owner != setup.rank) continue;
@@ -480,33 +320,27 @@ bool worker_run_epoch(Conn& conn, Mutex& send_mu, Replica& rep,
       if (fault::should_fail("ddp_proc_kill", epoch, setup.rank))
         std::_Exit(137);
       ShardGrads sg;
-      const float loss =
-          compute_shard(rep, pos_all, neg_all, count, setup.shard_size, s,
-                        shard_ordinal_base, n_ent, n_rel, sg);
+      const float loss = compute_shard(rep, batch, s, sg);
       const std::string payload =
-          encode_shard_grad(epoch, batch_ord, s, loss, sg);
+          encode_shard_grad(epoch, batch.ordinal, s, loss, sg);
       MutexLock lock(send_mu);
       conn.send(FrameType::kShardGrad, payload, setup.heartbeat_ms * 4);
     }
-
+    // Derived while the supervisor reduces, off the critical path.
+    const StepRows support(rep, batch.pos, batch.neg);
     // Barrier: the reduced gradient for this batch.
-    for (;;) {
-      Frame frame;
-      SPTX_CHECK_CODE(conn.recv(frame, kStepWaitMs),
-                      ErrorCode::kTransportError,
-                      "no step frame within deadline (supervisor wedged?)");
-      if (frame.type == FrameType::kShutdown) return false;
-      SPTX_CHECK_CODE(frame.type == FrameType::kStep,
-                      ErrorCode::kTransportError,
-                      "unexpected frame type "
-                          << static_cast<int>(frame.type)
-                          << " while awaiting step");
-      apply_step(frame.payload, rep, setup.lr, epoch, batch_ord);
-      break;
-    }
-    shard_ordinal_base += num_shards;
-  }
-  return true;
+    Frame frame;
+    SPTX_CHECK_CODE(conn.recv(frame, kStepWaitMs), ErrorCode::kTransportError,
+                    "no step frame within deadline (supervisor wedged?)");
+    if (frame.type == FrameType::kShutdown) return false;
+    SPTX_CHECK_CODE(frame.type == FrameType::kStep, ErrorCode::kTransportError,
+                    "unexpected frame type " << static_cast<int>(frame.type)
+                                             << " while awaiting step");
+    apply_step(frame.payload, rep, support, setup.lr, epoch, batch.ordinal);
+    return true;
+  };
+  return for_each_batch(data, setup.run_seed, setup.batch_size,
+                        setup.shard_size, work);
 }
 
 int worker_body(const WorkerEndpoint& endpoint) {
@@ -564,11 +398,9 @@ int worker_body(const WorkerEndpoint& endpoint) {
   Replica rep;
   rep.init(models::make_model(setup.spec, setup.num_entities,
                               setup.num_relations),
-           setup.plan_cache);
+           setup.plan_cache, setup.num_entities, setup.num_relations);
   if (!setup.resume_ckpt.empty())
     models::load_train_checkpoint(*rep.model, setup.resume_ckpt);
-  kg::NegativeSampler sampler(setup.num_entities, setup.num_relations,
-                              kg::CorruptionScheme::kUniform);
 
   std::vector<int> live_ranks;
   for (;;) {
@@ -582,7 +414,7 @@ int worker_body(const WorkerEndpoint& endpoint) {
                                              << " between epochs");
     int epoch = 0;
     decode_epoch_begin(next.payload, epoch, live_ranks);
-    if (!worker_run_epoch(*conn, send_mu, rep, data, sampler, setup, epoch,
+    if (!worker_run_epoch(*conn, send_mu, rep, data, setup, epoch,
                           live_ranks))
       return 0;  // shutdown mid-epoch (supervisor abort path)
   }
@@ -603,12 +435,14 @@ struct WorkerProc {
   int consecutive_respawns = 0;
 };
 
-class Supervisor {
+/// Process backend: spawns and supervises the worker processes, moves shard
+/// gradients in and step frames out over the transport, and owns liveness,
+/// respawn and the strict/degrade policy. The master is the supervisor's
+/// replica; shard s of a batch belongs to epoch_ranks_[s mod |ranks|].
+class Supervisor final : public ShardExecutor {
  public:
-  Supervisor(const models::ModelSpec& spec, const kg::TripletSource& data,
-             const DdpConfig& resolved)
+  Supervisor(const models::ModelSpec& spec, const DdpConfig& resolved)
       : spec_(spec),
-        data_(data),
         res_(resolved),
         run_dir_(make_run_dir()),
         listener_(run_dir_ + "/sup.sock") {
@@ -619,7 +453,7 @@ class Supervisor {
     spec_.seed = res_.seed;
   }
 
-  ~Supervisor() {
+  ~Supervisor() override {
     // Every exit path — normal return, strict abort, any exception — reaps
     // the children and removes the run dir (the Listener member unlinks
     // the socket). Never throws.
@@ -633,7 +467,17 @@ class Supervisor {
     stats_reg().active = false;
   }
 
-  DdpResult run();
+  const models::ModelSpec& spec() const { return spec_; }
+
+  void begin(DdpRun& run, int start_epoch) override;
+  void begin_epoch(DdpRun& run, int epoch) override;
+  bool run_batch(DdpRun& run, int epoch, const Batch& batch,
+                 std::vector<ShardGrads>& grads,
+                 std::vector<float>& loss) override;
+  void step(DdpRun& run, int epoch, const Batch& batch,
+            const StepRows& support) override;
+  void end_epoch(DdpRun& run, int epoch) override;
+  void finish(DdpRun& run) override;
 
  private:
   static std::string make_run_dir() {
@@ -651,11 +495,11 @@ class Supervisor {
   std::string sync_ckpt_path() const { return run_dir_ + "/sync.ckpt"; }
 
   void spawn(WorkerProc& w);
-  bool handshake_one(int start_epoch, const std::string& resume);
+  bool handshake_one(const DdpRun& run, const std::string& resume);
   void lose(WorkerProc& w, const std::string& why);
-  [[noreturn]] void abort_run(int epoch, const std::string& why);
+  void check_abort(DdpRun& run, int epoch);
   void shutdown_workers();
-  void respawn_dead(int next_epoch);
+  void respawn_dead(DdpRun& run, int next_epoch);
   std::vector<int> live_ranks() const;
   void collect_shards(int epoch, std::int64_t batch_ord, index_t num_shards,
                       const std::vector<int>& owners,
@@ -665,17 +509,16 @@ class Supervisor {
   void publish_stats();
 
   models::ModelSpec spec_;  // seed overridden to the run seed (see ctor)
-  const kg::TripletSource& data_;
   DdpConfig res_;
   std::string run_dir_;
   Listener listener_;
-  Replica master_;
   std::vector<WorkerProc> workers_;
-  DdpResult result_;
+  std::vector<int> epoch_ranks_;  // ranks live when the epoch began
   int retries_left_ = 0;
-  index_t shard_size_ = 0;
-  /// Set by lose() under strict policy once the budget is gone; run()
-  /// checks it at consistent points and calls abort_run there.
+  int lost_ = 0;
+  int respawned_ = 0;
+  /// Set by lose() under strict policy once the budget is gone; the hooks
+  /// check it at consistent points (check_abort) and abort there.
   bool abort_pending_ = false;
   std::string abort_reason_;
 };
@@ -696,8 +539,8 @@ void Supervisor::publish_stats() {
     reg.rank_live[static_cast<std::size_t>(w.rank)] = w.live ? 1 : 0;
     reg.last_rx[static_cast<std::size_t>(w.rank)] = w.last_rx;
   }
-  reg.lost = result_.workers_lost;
-  reg.respawned = result_.workers_respawned;
+  reg.lost = lost_;
+  reg.respawned = respawned_;
 }
 
 void Supervisor::touch(WorkerProc& w) {
@@ -761,7 +604,8 @@ void Supervisor::spawn(WorkerProc& w) {
   }
 }
 
-bool Supervisor::handshake_one(int start_epoch, const std::string& resume) {
+bool Supervisor::handshake_one(const DdpRun& run,
+                               const std::string& resume) {
   std::unique_ptr<Conn> conn = listener_.accept(kHandshakeMs);
   if (!conn) return false;
   Frame hello;
@@ -781,18 +625,16 @@ bool Supervisor::handshake_one(int start_epoch, const std::string& resume) {
 
   SetupMsg setup;
   setup.spec = spec_;
-  setup.num_entities = data_.num_entities();
-  setup.num_relations = data_.num_relations();
+  setup.num_entities = run.data.num_entities();
+  setup.num_relations = run.data.num_relations();
   setup.data_path = data_path();
-  setup.epochs = res_.epochs;
   setup.batch_size = res_.batch_size;
-  setup.shard_size = shard_size_;
+  setup.shard_size = run.config.shard_size;
   setup.lr = res_.lr;
   setup.run_seed = res_.seed;
   setup.plan_cache = res_.plan_cache;
   setup.heartbeat_ms = res_.heartbeat_ms;
   setup.rank = rank;
-  setup.start_epoch = start_epoch;
   setup.resume_ckpt = resume;
   w.conn->send(FrameType::kSetup, encode_setup(setup), kHandshakeMs);
   w.live = true;
@@ -815,15 +657,14 @@ void Supervisor::lose(WorkerProc& w, const std::string& why) {
     } while (rc < 0 && errno == EINTR);
     w.pid = -1;
   }
-  ++result_.worker_failures;
-  ++result_.workers_lost;
+  ++lost_;
   profiling::count_event(profiling::Counter::kDdpProcWorkersLost);
   if (retries_left_ > 0) {
     --retries_left_;
     w.pending_respawn = true;
   } else if (res_.policy != "degrade" && !abort_pending_) {
     // Strict policy with an exhausted budget: record the abort and let the
-    // caller reach a consistent point (abort_run flushes `.abort` there).
+    // caller reach a consistent point (check_abort flushes `.abort` there).
     // lose() itself never throws so every caller's invariants hold.
     abort_pending_ = true;
     abort_reason_ = "worker " + std::to_string(w.rank) +
@@ -833,18 +674,12 @@ void Supervisor::lose(WorkerProc& w, const std::string& why) {
   publish_stats();
 }
 
-void Supervisor::abort_run(int epoch, const std::string& why) {
-  std::string flushed;
-  if (!res_.checkpoint_path.empty()) {
-    flushed = res_.checkpoint_path + ".abort";
-    models::save_checkpoint(*master_.model, flushed);
-  }
+void Supervisor::check_abort(DdpRun& run, int epoch) {
+  if (!abort_pending_) return;
   shutdown_workers();
-  throw_error(ErrorCode::kWorkerLost,
-              "multi-process ddp aborting at epoch " + std::to_string(epoch) +
-                  (flushed.empty() ? std::string()
-                                   : "; parameters flushed to " + flushed) +
-                  "; cause: " + why);
+  run.abort(ErrorCode::kWorkerLost,
+            "multi-process ddp aborting at epoch " + std::to_string(epoch),
+            abort_reason_);
 }
 
 void Supervisor::shutdown_workers() {
@@ -887,7 +722,7 @@ void Supervisor::shutdown_workers() {
   }
 }
 
-void Supervisor::respawn_dead(int next_epoch) {
+void Supervisor::respawn_dead(DdpRun& run, int next_epoch) {
   bool sync_written = false;
   for (WorkerProc& w : workers_) {
     if (!w.pending_respawn) continue;
@@ -901,16 +736,13 @@ void Supervisor::respawn_dead(int next_epoch) {
     if (!sync_written) {
       // Checkpoint-based recovery: the respawned process loads the state
       // the survivors are at and joins at the next epoch boundary.
-      models::TrainCheckpointState st;
-      st.next_epoch = next_epoch;
-      st.epoch_loss = result_.epoch_loss;
-      models::save_train_checkpoint(*master_.model, st, sync_ckpt_path());
+      run.save(next_epoch, sync_ckpt_path());
       sync_written = true;
     }
     ++w.consecutive_respawns;
     spawn(w);
-    if (handshake_one(next_epoch, sync_ckpt_path())) {
-      ++result_.workers_respawned;
+    if (handshake_one(run, sync_ckpt_path())) {
+      ++respawned_;
       profiling::count_event(profiling::Counter::kDdpProcRespawns);
       {
         MutexLock lock(stats_reg().mu);
@@ -1022,48 +854,9 @@ void Supervisor::collect_shards(int epoch, std::int64_t batch_ord,
   }
 }
 
-DdpResult Supervisor::run() {
-  SPTX_CHECK(data_.valid() && !data_.empty(), "empty training set");
-  SPTX_CHECK(res_.batch_size > 0 && res_.epochs >= 0, "bad ddp config");
-  SPTX_CHECK(res_.checkpoint_every <= 0 || !res_.checkpoint_path.empty(),
-             "checkpoint_every > 0 needs a checkpoint_path");
+void Supervisor::begin(DdpRun& run, int start_epoch) {
   const int p = res_.workers;
-  SPTX_CHECK(p >= 1, "need at least one worker");
-  shard_size_ = res_.shard_size;
-  if (shard_size_ <= 0) shard_size_ = (res_.batch_size + p - 1) / p;
   retries_left_ = res_.max_worker_retries;
-
-  const index_t m = data_.size();
-  const index_t n_ent = data_.num_entities();
-  const index_t n_rel = data_.num_relations();
-  master_.init(models::make_model(spec_, n_ent, n_rel), res_.plan_cache);
-  kg::NegativeSampler sampler(n_ent, n_rel, kg::CorruptionScheme::kUniform);
-
-  result_.workers = p;
-  result_.shard_size = shard_size_;
-
-  // Resume, identically to the threaded path: master from the checkpoint,
-  // workers from a sync checkpoint written below.
-  int start_epoch = 0;
-  if (!res_.resume_from.empty()) {
-    std::string path = res_.resume_from;
-    if (!std::filesystem::exists(path)) {
-      const auto found = models::latest_checkpoint(res_.resume_from);
-      SPTX_CHECK_CODE(found.has_value(), ErrorCode::kIo,
-                      "no checkpoint found at '"
-                          << res_.resume_from << "' (or rotations "
-                          << res_.resume_from << ".ep<N>)"
-                          << models::describe_abort_sibling(
-                                 res_.resume_from));
-      path = found->path;
-    }
-    models::TrainCheckpointState st =
-        models::load_train_checkpoint(*master_.model, path);
-    result_.epoch_loss = std::move(st.epoch_loss);
-    start_epoch = st.next_epoch;
-    result_.start_epoch = start_epoch;
-  }
-
   {
     StatsReg& reg = stats_reg();
     MutexLock lock(reg.mu);
@@ -1076,229 +869,105 @@ DdpResult Supervisor::run() {
                        std::chrono::steady_clock::now());
     reg.rank_live.assign(static_cast<std::size_t>(p), 0);
   }
+  if (start_epoch >= res_.epochs) return;
 
-  const profiling::CounterWindow shards_window(
-      profiling::Counter::kDdpShards);
-  const profiling::CounterWindow rows_window(
-      profiling::Counter::kDdpAllReduceRows);
-  const profiling::CounterWindow dense_window(
-      profiling::Counter::kDdpDenseReduces);
-  const profiling::CounterWindow builds_window(
-      profiling::Counter::kIncidenceBuilds);
-  const profiling::CounterWindow frames_window(
-      profiling::Counter::kDdpTransportFrames);
-  const profiling::CounterWindow bytes_window(
-      profiling::Counter::kDdpTransportBytes);
-  const profiling::CounterWindow retries_window(
-      profiling::Counter::kDdpTransportRetries);
-  const auto t0 = profiling::clock::now();
-
-  if (start_epoch < res_.epochs) {
-    // Materialise the dataset for the workers: one self-describing
-    // streaming file in the run dir, mmap'd by every worker (the kernel
-    // shares the page cache, so N workers cost one resident copy).
-    kg::StreamingTripletStore::write_file(data_path(), data_.slice(0, m),
-                                          n_ent, n_rel);
-    std::string initial_resume;
-    if (start_epoch > 0) {
-      models::TrainCheckpointState st;
-      st.next_epoch = start_epoch;
-      st.epoch_loss = result_.epoch_loss;
-      models::save_train_checkpoint(*master_.model, st, sync_ckpt_path());
-      initial_resume = sync_ckpt_path();
-    }
-    workers_.resize(static_cast<std::size_t>(p));
-    for (int rank = 0; rank < p; ++rank) {
-      workers_[static_cast<std::size_t>(rank)].rank = rank;
-      spawn(workers_[static_cast<std::size_t>(rank)]);
-    }
-    for (int i = 0; i < p; ++i) {
-      if (!handshake_one(start_epoch, initial_resume)) {
-        // Some worker never connected; charge every silent rank.
-        for (WorkerProc& w : workers_) {
-          if (w.live || w.pid <= 0) continue;
-          w.live = true;  // arm lose() for the unconnected process
-          lose(w, "worker never completed the startup handshake");
-        }
-        break;
-      }
-    }
-    publish_stats();
-    if (abort_pending_) abort_run(start_epoch, abort_reason_);
+  // Materialise the dataset for the workers: one self-describing streaming
+  // file in the run dir, mmap'd by every worker (the kernel shares the page
+  // cache, so N workers cost one resident copy). A resumed run hands the
+  // workers the master's restored state through a sync checkpoint.
+  kg::StreamingTripletStore::write_file(
+      data_path(), run.data.slice(0, run.data.size()),
+      run.data.num_entities(), run.data.num_relations());
+  std::string initial_resume;
+  if (start_epoch > 0) {
+    run.save(start_epoch, sync_ckpt_path());
+    initial_resume = sync_ckpt_path();
   }
-
-  for (int epoch = start_epoch; epoch < res_.epochs; ++epoch) {
-    const auto epoch_start = profiling::clock::now();
-    const std::vector<int> epoch_ranks = live_ranks();
-    for (int rank : epoch_ranks) {
-      WorkerProc& w = workers_[static_cast<std::size_t>(rank)];
-      try {
-        w.conn->send(FrameType::kEpochBegin,
-                     encode_epoch_begin(epoch, epoch_ranks),
-                     res_.heartbeat_ms);
-      } catch (const Error& e) {
-        lose(w, e.what());
-      }
-    }
-    if (abort_pending_) abort_run(epoch, abort_reason_);
-
-    Rng data_rng(res_.seed + 1);
-    double loss_sum = 0.0;
-    index_t batches = 0;
-    index_t shard_ordinal_base = 0;
-    std::int64_t batch_ord = 0;
-
-    for (index_t begin = 0; begin < m;
-         begin += res_.batch_size, ++batch_ord) {
-      const index_t count = std::min<index_t>(res_.batch_size, m - begin);
-      const index_t num_shards = (count + shard_size_ - 1) / shard_size_;
-      const std::span<const Triplet> pos_all = data_.slice(begin, count);
-      const std::vector<Triplet> negatives =
-          sampler.pregenerate(pos_all, data_rng);
-      const std::span<const Triplet> neg_all(negatives);
-
-      std::vector<ShardGrads> shard_grads(
-          static_cast<std::size_t>(num_shards));
-      std::vector<float> shard_loss(static_cast<std::size_t>(num_shards),
-                                    0.0f);
-      // Ownership was fixed when the epoch began: shard s belongs to
-      // epoch_ranks[s % |epoch_ranks|] (-1 = supervisor). A rank that dies
-      // mid-epoch keeps its slots — the supervisor covers them — so the
-      // surviving workers' view of the assignment never changes.
-      std::vector<int> owners(static_cast<std::size_t>(num_shards), -1);
-      if (!epoch_ranks.empty())
-        for (index_t s = 0; s < num_shards; ++s)
-          owners[static_cast<std::size_t>(s)] =
-              epoch_ranks[static_cast<std::size_t>(s) % epoch_ranks.size()];
-
-      collect_shards(epoch, batch_ord, num_shards, owners, shard_grads,
-                     shard_loss);
-      // Master parameters are consistent here (they only move in the step
-      // phase below) — the strict-abort flush point.
-      if (abort_pending_) abort_run(epoch, abort_reason_);
-      // Cover everything that didn't arrive — dead ranks' shards (their
-      // already-received frames are kept: process isolation means a
-      // worker's death cannot corrupt what it already shipped) and, in
-      // degraded operation, entire batches.
-      for (index_t s = 0; s < num_shards; ++s) {
-        if (!shard_grads[static_cast<std::size_t>(s)].empty()) continue;
-        shard_loss[static_cast<std::size_t>(s)] = compute_shard(
-            master_, pos_all, neg_all, count, shard_size_, s,
-            shard_ordinal_base, n_ent, n_rel,
-            shard_grads[static_cast<std::size_t>(s)]);
-        if (owners[static_cast<std::size_t>(s)] >= 0)
-          ++result_.shards_reassigned;
-      }
-
-      // All-reduce in shard-index order into the master's gradient buffers
-      // — the exact loop of the threaded path, so the reduced bytes are
-      // identical no matter which process computed which shard.
-      for (index_t s = 0; s < num_shards; ++s) {
-        ShardGrads& sg = shard_grads[static_cast<std::size_t>(s)];
-        for (std::size_t i = 0; i < master_.params.size(); ++i) {
-          ParamGrad& pg = sg[i];
-          if (!pg.present) continue;
-          Matrix& g0 = master_.params[i].grad();
-          if (pg.dense) {
-            g0.add_(pg.values);
-            profiling::count_event(profiling::Counter::kDdpDenseReduces);
-          } else {
-            const index_t cols = g0.cols();
-            for (std::size_t k = 0; k < pg.rows.size(); ++k)
-              simd::add(g0.row(pg.rows[k]),
-                        pg.values.row(static_cast<index_t>(k)), cols);
-            profiling::count_event(
-                profiling::Counter::kDdpAllReduceRows,
-                static_cast<std::int64_t>(pg.rows.size()));
-          }
-        }
-      }
-
-      // Broadcast the reduced gradient, then step the master with the same
-      // bytes. Serialization happens before the local step zeroes g0.
-      const StepRows support(master_, pos_all, neg_all, n_ent, n_rel);
-      const std::string step_payload =
-          encode_step(epoch, batch_ord, master_, support);
-      for (int rank : epoch_ranks) {
-        WorkerProc& w = workers_[static_cast<std::size_t>(rank)];
-        if (!w.live) continue;
-        try {
-          w.conn->send(FrameType::kStep, step_payload, res_.heartbeat_ms * 4);
-        } catch (const Error& e) {
-          lose(w, e.what());
-        }
-      }
-      if (abort_pending_) abort_run(epoch, abort_reason_);
-      for (std::size_t i = 0; i < master_.params.size(); ++i) {
-        Matrix& g0 = master_.params[i].grad();
-        if (support.rows[i] == nullptr) {
-          master_.params[i].mutable_value().axpy_(-res_.lr, g0);
-          g0.zero();
-          continue;
-        }
-        Matrix& v = master_.params[i].mutable_value();
-        const index_t cols = g0.cols();
-        for (index_t row : *support.rows[i])
-          simd::axpy(v.row(row), g0.row(row), -res_.lr, cols);
-        for (index_t row : *support.rows[i])
-          std::memset(g0.row(row), 0,
-                      static_cast<std::size_t>(cols) * sizeof(float));
-      }
-      master_.model->post_step();
-
-      float batch_loss = 0.0f;  // shard order: worker-count invariant
-      for (float l : shard_loss) batch_loss += l;
-      loss_sum += batch_loss;
-      ++batches;
-      shard_ordinal_base += num_shards;
-    }
-
-    const float mean_loss =
-        batches > 0 ? static_cast<float>(loss_sum / batches) : 0.0f;
-    result_.epoch_loss.push_back(mean_loss);
-    result_.epoch_seconds.push_back(profiling::seconds_since(epoch_start));
-    if (res_.on_epoch) res_.on_epoch(epoch, mean_loss);
-
-    if (res_.checkpoint_every > 0 &&
-        (epoch + 1) % res_.checkpoint_every == 0 &&
-        epoch + 1 < res_.epochs) {
-      models::TrainCheckpointState st;
-      st.next_epoch = epoch + 1;
-      st.epoch_loss = result_.epoch_loss;
-      const std::string path =
-          models::checkpoint_path_for_epoch(res_.checkpoint_path, epoch + 1);
-      models::save_train_checkpoint(*master_.model, st, path);
-      models::prune_checkpoints(res_.checkpoint_path, res_.checkpoint_keep);
-      ++result_.checkpoints_written;
-      result_.last_checkpoint = path;
-    }
-
-    // Ranks that survived the epoch reset their crash-loop backoff; dead
-    // ranks with budget respawn from the just-consistent state.
-    for (WorkerProc& w : workers_)
-      if (w.live) w.consecutive_respawns = 0;
-    if (epoch + 1 < res_.epochs) respawn_dead(epoch + 1);
-    if (abort_pending_) abort_run(epoch, abort_reason_);
+  workers_.resize(static_cast<std::size_t>(p));
+  for (int rank = 0; rank < p; ++rank) {
+    workers_[static_cast<std::size_t>(rank)].rank = rank;
+    spawn(workers_[static_cast<std::size_t>(rank)]);
   }
+  for (int i = 0; i < p; ++i) {
+    if (!handshake_one(run, initial_resume)) {
+      // Some worker never connected; charge every silent rank.
+      for (WorkerProc& w : workers_) {
+        if (w.live || w.pid <= 0) continue;
+        w.live = true;  // arm lose() for the unconnected process
+        lose(w, "worker never completed the startup handshake");
+      }
+      break;
+    }
+  }
+  publish_stats();
+  check_abort(run, start_epoch);
+}
 
+void Supervisor::begin_epoch(DdpRun& run, int epoch) {
+  epoch_ranks_ = live_ranks();
+  for (int rank : epoch_ranks_) {
+    WorkerProc& w = workers_[static_cast<std::size_t>(rank)];
+    try {
+      w.conn->send(FrameType::kEpochBegin,
+                   encode_epoch_begin(epoch, epoch_ranks_), res_.heartbeat_ms);
+    } catch (const Error& e) {
+      lose(w, e.what());
+    }
+  }
+  check_abort(run, epoch);
+}
+
+bool Supervisor::run_batch(DdpRun& run, int epoch, const Batch& batch,
+                           std::vector<ShardGrads>& grads,
+                           std::vector<float>& loss) {
+  // Ownership was fixed when the epoch began (-1 = supervisor). A rank that
+  // dies mid-epoch keeps its slots — the driver covers them, and the
+  // frames it already shipped are kept (process isolation: its death
+  // cannot corrupt them) — so the survivors' view never changes.
+  std::vector<int> owners(static_cast<std::size_t>(batch.num_shards), -1);
+  if (!epoch_ranks_.empty())
+    for (std::size_t s = 0; s < owners.size(); ++s)
+      owners[s] = epoch_ranks_[s % epoch_ranks_.size()];
+  collect_shards(epoch, batch.ordinal, batch.num_shards, owners, grads, loss);
+  // Master parameters only move in the step phase — the strict-abort flush
+  // point.
+  check_abort(run, epoch);
+  return !epoch_ranks_.empty();
+}
+
+void Supervisor::step(DdpRun& run, int epoch, const Batch& batch,
+                      const StepRows& support) {
+  // Serialised before the driver's master step zeroes the buffers; every
+  // process applies these exact bytes.
+  const std::string payload =
+      encode_step(epoch, batch.ordinal, run.master, support);
+  for (int rank : epoch_ranks_) {
+    WorkerProc& w = workers_[static_cast<std::size_t>(rank)];
+    if (!w.live) continue;
+    try {
+      w.conn->send(FrameType::kStep, payload, res_.heartbeat_ms * 4);
+    } catch (const Error& e) {
+      lose(w, e.what());
+    }
+  }
+  check_abort(run, epoch);
+}
+
+void Supervisor::end_epoch(DdpRun& run, int epoch) {
+  // Ranks that survived the epoch reset their crash-loop backoff; dead
+  // ranks with budget respawn from the just-consistent state.
+  for (WorkerProc& w : workers_)
+    if (w.live) w.consecutive_respawns = 0;
+  if (epoch + 1 < res_.epochs) respawn_dead(run, epoch + 1);
+  check_abort(run, epoch);
+}
+
+void Supervisor::finish(DdpRun& run) {
   shutdown_workers();
   publish_stats();
-
-  result_.total_seconds = profiling::seconds_since(t0);
-  result_.shards_executed = shards_window.elapsed();
-  result_.allreduce_rows = rows_window.elapsed();
-  result_.dense_reduces = dense_window.elapsed();
-  result_.incidence_builds = builds_window.elapsed();
-  result_.transport_frames = frames_window.elapsed();
-  result_.transport_bytes = bytes_window.elapsed();
-  result_.transport_retries = retries_window.elapsed();
-  if (master_.cache) {
-    const auto stats = master_.cache->stats();
-    result_.worker_plan_stats.push_back(stats);
-    result_.plan_stats = stats;
-  }
-  result_.model = std::move(master_.model);
-  return std::move(result_);
+  run.result.worker_failures += lost_;
+  run.result.workers_lost = lost_;
+  run.result.workers_respawned = respawned_;
 }
 
 }  // namespace
@@ -1307,9 +976,14 @@ DdpResult train_ddp_procs(const models::ModelSpec& spec,
                           const kg::TripletSource& data,
                           const DdpConfig& config, const RuntimeConfig& rc) {
   const DdpConfig resolved = resolve(config, rc);
-  fault::init_from_config();
-  Supervisor supervisor(spec, data, resolved);
-  return supervisor.run();
+  Supervisor supervisor(spec, resolved);
+  return run_ddp(
+      resolved, data,
+      [&] {
+        return models::make_model(supervisor.spec(), data.num_entities(),
+                                  data.num_relations());
+      },
+      supervisor);
 }
 
 DdpResult train_ddp_procs(const models::ModelSpec& spec,

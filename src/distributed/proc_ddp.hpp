@@ -1,6 +1,9 @@
-// Multi-process elastic DDP: a supervisor that fork/execs N worker
-// processes and drives them through the framed UDS/shm transport
-// (transport.hpp), with process-level fault tolerance.
+// Multi-process elastic DDP: the process backend of the epoch driver
+// (driver.hpp). A supervisor fork/execs N worker processes and drives them
+// through the framed UDS/shm transport (transport.hpp), with process-level
+// fault tolerance. The driver — shared with the in-process backend of
+// ddp.cpp — owns the epoch loop, the reduction and the master's step; this
+// backend only ships shards in and step frames out.
 //
 // Protocol (all frames CRC-checked, every wait deadline-bounded):
 //
@@ -8,26 +11,26 @@
 //   ───────                         ──────────
 //   connect, kHello{rank,pid}  →
 //                              ←    kSetup{model spec, data path, train
-//                                          config, start epoch, resume ckpt}
+//                                          config, resume ckpt}
 //   (heartbeat thread starts; beacons every heartbeat_ms/3)
 //                              ←    kEpochBegin{epoch, live ranks}
-//   kShardGrad{...} per owned  →    collects; re-runs missing shards of
-//   shard                           lost workers locally; reduces in
-//                                   shard-index order; steps the master
+//   kShardGrad{...} per owned  →    collects; the driver re-runs missing
+//   shard                           shards of lost workers on the master,
+//                                   reduces in shard-index order, steps
 //                              ←    kStep{reduced gradient rows}
 //   (apply step, post_step; next batch)
 //                              ←    kShutdown
 //
-// Bit-identity: the shard decomposition, the negative streams (every
-// process re-derives them from Rng(seed+1) per epoch), the loss weights
-// and the shard-index-ordered reduction are all identical to the threaded
-// executor in ddp.cpp — both share shard_grads.hpp — so `mode=procs`
-// produces bit-identical checkpoints to `mode=threads` for any worker
-// count, including runs where workers are SIGKILLed and respawned.
+// Bit-identity: workers walk each epoch with the same batch iterator and
+// shard compute as the driver (shard_grads.hpp) — the same negative
+// streams (Rng(seed+1) per epoch), shard decomposition and loss weights —
+// and the reduction is the driver's, so `mode=procs` produces bit-identical
+// checkpoints to `mode=threads` for any worker count, including runs where
+// workers are SIGKILLed and respawned.
 //
 // Elasticity: a worker that exits, EOFs, or misses the heartbeat deadline
 // is declared lost (kWorkerLost); its outstanding shards re-run on the
-// supervisor (received shard frames are kept — process isolation means no
+// master (received shard frames are kept — process isolation means no
 // gradient scrubbing), the epoch completes bit-identically, and at the
 // epoch boundary the rank respawns with exponential backoff from a
 // just-written train checkpoint, within the max_worker_retries budget.

@@ -1,23 +1,27 @@
-// Shard-gradient plumbing shared by the two DDP executors (threaded
-// ddp.cpp and multi-process proc_ddp.cpp).
+// Shard execution shared by every DDP process: one Replica type, one batch
+// iterator, one shard compute and one row-support derivation.
 //
-// A shard's gradient contribution is harvested out of a replica's
-// accumulation buffers into a compact ParamGrad per parameter — sparse
-// (touched rows only) for entity/relation-indexed tables, dense otherwise.
-// Both executors reduce ShardGrads in shard-index order, which is the
-// bit-identity anchor: WHO computed a shard (which thread, which process,
-// a recovery re-run) never affects the reduced gradient. Keeping the
-// harvest/expand helpers in one header guarantees the two paths cannot
-// drift apart arithmetically.
+// The epoch driver (driver.hpp) and the multi-process worker loop
+// (proc_ddp.cpp) both walk an epoch through for_each_batch and compute
+// shards through compute_shard. A shard's gradient contribution is
+// harvested out of a replica's accumulation buffers into a compact
+// ParamGrad per parameter — sparse (touched rows only) for
+// entity/relation-indexed tables, dense otherwise — and the driver reduces
+// ShardGrads in shard-index order. That order is the bit-identity anchor:
+// WHO computed a shard (which thread, which process, a recovery re-run on
+// the master) never affects the reduced gradient, and with a single copy of
+// the arithmetic here the executors cannot drift apart.
 #pragma once
 
-#include <cstring>
+#include <cstdint>
+#include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
-#include "src/common/error.hpp"
+#include "src/kg/triplet_source.hpp"
 #include "src/models/model.hpp"
-#include "src/sparse/incidence.hpp"
+#include "src/sparse/plan_cache.hpp"
 
 namespace sptx::distributed {
 
@@ -32,110 +36,81 @@ struct ParamGrad {
 };
 using ShardGrads = std::vector<ParamGrad>;
 
-/// Block expansion for kRelationBlocks: relation r owns rows
-/// [r·h, (r+1)·h) where h = rows / R. Input ids sorted → output sorted.
-inline std::vector<index_t> expand_relation_blocks(
-    const std::vector<index_t>& rels, index_t param_rows,
-    index_t num_relations) {
-  SPTX_CHECK(num_relations > 0 && param_rows % num_relations == 0,
-             "kRelationBlocks parameter rows (" << param_rows
-                 << ") not divisible by relation count " << num_relations);
-  const index_t h = param_rows / num_relations;
-  std::vector<index_t> rows;
-  rows.reserve(rels.size() * static_cast<std::size_t>(h));
-  for (index_t r : rels)
-    for (index_t k = 0; k < h; ++k) rows.push_back(r * h + k);
-  return rows;
-}
+/// One model replica plus the compiled-batch machinery around it: the
+/// driver's master, every in-process worker and every worker process hold
+/// one each.
+struct Replica {
+  std::unique_ptr<models::KgeModel> model;
+  models::ScoringCoreModel* scoring = nullptr;  // nullptr = span fallback
+  std::vector<autograd::Variable> params;
+  std::vector<models::ParamIndexSpace> spaces;
+  sparse::ScoringRecipe recipe;
+  std::unique_ptr<sparse::PlanCache> cache;  // nullptr = caching off
+  index_t num_entities = 0;                  // the training data's vocabulary
+  index_t num_relations = 0;
+  bool support_verified = false;
 
-/// Copy the shard's gradient support out of `params` and zero it there, so
-/// the worker's accumulation buffers are pristine for its next shard. The
-/// extraction is what makes the all-reduce sparse: for an entity table only
-/// rows named by the shard's triplets can hold gradient (every backward
-/// scatter lands inside the incidence support), so only those rows travel.
-inline void harvest_shard_grads(
-    std::vector<autograd::Variable>& params,
-    const std::vector<models::ParamIndexSpace>& spaces,
-    std::span<const Triplet> pos, std::span<const Triplet> neg,
-    index_t num_entities, index_t num_relations, ShardGrads& out) {
-  std::vector<index_t> ents;      // lazily built per shard, shared by params
-  std::vector<index_t> rels;
-  std::vector<index_t> stacked;
-  const auto entity_rows = [&]() -> const std::vector<index_t>& {
-    if (ents.empty()) ents = touched_entity_ids(pos, neg);
-    return ents;
-  };
-  const auto relation_rows = [&]() -> const std::vector<index_t>& {
-    if (rels.empty()) rels = touched_relation_ids(pos, neg);
-    return rels;
-  };
-  const auto stacked_rows = [&]() -> const std::vector<index_t>& {
-    if (stacked.empty()) {
-      // Entity ids all precede N ≤ N + relation id, so the concatenation of
-      // the two sorted lists is itself sorted.
-      stacked = entity_rows();
-      for (index_t r : relation_rows()) stacked.push_back(num_entities + r);
-    }
-    return stacked;
-  };
+  /// Adopt `m` and materialise every gradient buffer (zeroed) so the
+  /// harvest/reduce cycle never races lazy allocation.
+  void init(std::unique_ptr<models::KgeModel> m, bool use_cache,
+            index_t n_ent, index_t n_rel);
+};
 
-  out.resize(params.size());
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    ParamGrad& pg = out[i];
-    Matrix& g = params[i].grad();
-    pg.present = true;
-    if (spaces[i] == models::ParamIndexSpace::kDense) {
-      pg.dense = true;
-      pg.values = g;  // deep copy
-      g.zero();
-      continue;
-    }
-    std::vector<index_t> block_rows;  // kRelationBlocks, height per param
-    const std::vector<index_t>* rows = nullptr;
-    switch (spaces[i]) {
-      case models::ParamIndexSpace::kEntity:
-        rows = &entity_rows();
-        break;
-      case models::ParamIndexSpace::kRelation:
-        rows = &relation_rows();
-        break;
-      case models::ParamIndexSpace::kRelationBlocks:
-        block_rows =
-            expand_relation_blocks(relation_rows(), g.rows(), num_relations);
-        rows = &block_rows;
-        break;
-      default:
-        rows = &stacked_rows();
-        break;
-    }
-    pg.rows = *rows;
-    const index_t cols = g.cols();
-    pg.values = Matrix(static_cast<index_t>(pg.rows.size()), cols);
-    for (std::size_t k = 0; k < pg.rows.size(); ++k) {
-      std::memcpy(pg.values.row(static_cast<index_t>(k)), g.row(pg.rows[k]),
-                  static_cast<std::size_t>(cols) * sizeof(float));
-      std::memset(g.row(pg.rows[k]), 0,
-                  static_cast<std::size_t>(cols) * sizeof(float));
-    }
-  }
-}
+/// One batch of an epoch, derived identically in every process.
+struct Batch {
+  std::int64_t ordinal = 0;  // batch index within the epoch
+  index_t count = 0;         // positives in the batch
+  index_t shard_size = 0;
+  index_t num_shards = 0;
+  /// Global index of shard 0 — the plan-cache key base, epoch-invariant.
+  index_t shard_ordinal_base = 0;
+  std::span<const Triplet> pos, neg;
+};
 
-/// One-time (per run, per worker) safety net for param_index_spaces(): after
-/// the first harvest, every gradient buffer must be identically zero — a
-/// residue means the model's loss touched rows outside the declared index
-/// space (e.g. a full-table regulariser on an entity-shaped parameter), and
-/// the sparse all-reduce would silently drop and cross-contaminate gradient.
-/// Costs one table scan per worker per run.
-inline void verify_support_exhausts_grads(
-    std::vector<autograd::Variable>& params, const models::KgeModel& model) {
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    const Matrix& g = params[i].grad();
-    SPTX_CHECK(g.max_abs() == 0.0f,
-               model.name() << " parameter " << i
-                            << " has gradient outside its declared "
-                               "ParamIndexSpace row support; override "
-                               "param_index_spaces() (kDense is always safe)");
-  }
-}
+/// Walk one epoch's batches. The data RNG reseeds from `seed + 1` every
+/// epoch, which pins the negatives to the epoch-0 stream — the paper's
+/// pregenerate-once protocol without an O(dataset) buffer, and the property
+/// that lets cached shard plans serve every later epoch. Every process
+/// derives each whole batch's negatives, owned shards or not, so the stream
+/// advances identically everywhere. `fn` returns false to stop early;
+/// for_each_batch returns false exactly when it was stopped.
+bool for_each_batch(const kg::TripletSource& data, std::uint64_t seed,
+                    index_t batch_size, index_t shard_size,
+                    const std::function<bool(const Batch&)>& fn);
+
+/// Forward + backward + harvest of shard `s` of `batch` on `rep`, through
+/// the compiled-batch pipeline (plans cached under shard_ordinal_base + s)
+/// or the span fallback for models outside the scoring-core family. The
+/// shard's loss is scaled by its true share of the batch BEFORE backward,
+/// so the reduced gradient is exactly the full-batch-mean gradient even
+/// when shard_size does not divide the batch. Harvesting zeroes the
+/// replica's buffers for its next shard. Returns the weighted loss.
+float compute_shard(Replica& rep, const Batch& batch, index_t s,
+                    ShardGrads& out);
+
+/// The per-parameter row support of a triplet set: the rows a backward
+/// over `pos`/`neg` can write, and so the rows a harvest copies and a step
+/// touches. rows[i] is nullptr for a kDense parameter. Not copyable: rows
+/// points into the object's own lists.
+struct StepRows {
+  std::vector<index_t> ents, rels, stacked;
+  std::vector<std::vector<index_t>> blocks;       // per-param kRelationBlocks
+  std::vector<const std::vector<index_t>*> rows;  // nullptr = dense param
+
+  StepRows(Replica& rep, std::span<const Triplet> pos,
+           std::span<const Triplet> neg);
+  StepRows(const StepRows&) = delete;
+  StepRows& operator=(const StepRows&) = delete;
+};
+
+/// SGD-step `rep` with the reduced gradient held in `grads`' buffers,
+/// restricted to `support`, then post_step(). Reads `grads` only.
+void step_replica(Replica& rep, std::vector<autograd::Variable>& grads,
+                  const StepRows& support, float lr);
+
+/// The master's step, taken by the driver and by every worker process once
+/// the reduced gradient sits in `rep`'s own buffers: step_replica, then
+/// re-zero the support rows so the next batch starts clean.
+void step_and_clear(Replica& rep, const StepRows& support, float lr);
 
 }  // namespace sptx::distributed

@@ -1,9 +1,11 @@
 // Tests for the data-parallel trainer and the DDP scaling model.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <algorithm>
+#include <cmath>
+#include <string>
 
+#include "src/common/error.hpp"
 #include "src/distributed/ddp.hpp"
 #include "src/kg/synthetic.hpp"
 #include "src/train/trainer.hpp"
@@ -96,6 +98,37 @@ TEST(Ddp, ReplicasStayInSync) {
   ASSERT_EQ(a.epoch_loss.size(), b.epoch_loss.size());
   for (std::size_t i = 0; i < a.epoch_loss.size(); ++i)
     EXPECT_FLOAT_EQ(a.epoch_loss[i], b.epoch_loss[i]);
+}
+
+// A misspelled mode or policy must fail loudly, not silently fall back to
+// threads / strict.
+void expect_rejected(const distributed::DdpConfig& dc, const char* field,
+                     const char* choices) {
+  try {
+    (void)distributed::resolve(dc, RuntimeConfig{});
+    FAIL() << field << " typo was accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kPrecondition);
+    const std::string what = e.what();
+    EXPECT_NE(what.find(field), std::string::npos) << what;
+    EXPECT_NE(what.find(choices), std::string::npos) << what;
+  }
+}
+
+TEST(Ddp, ResolveRejectsUnknownMode) {
+  distributed::DdpConfig dc;
+  dc.mode = "proc";
+  expect_rejected(dc, "mode", "'threads' or 'procs'");
+  dc.mode = "PROCS";  // case-insensitive, like the registry knob
+  EXPECT_EQ(distributed::resolve(dc, RuntimeConfig{}).mode, "procs");
+}
+
+TEST(Ddp, ResolveRejectsUnknownPolicy) {
+  distributed::DdpConfig dc;
+  dc.policy = "degraded";
+  expect_rejected(dc, "policy", "'strict' or 'degrade'");
+  dc.policy = "Degrade";
+  EXPECT_EQ(distributed::resolve(dc, RuntimeConfig{}).policy, "degrade");
 }
 
 TEST(ScalingModel, ComputeTermShrinksWithWorkers) {

@@ -141,6 +141,23 @@ TEST(EngineDdp, WrapperIsBitIdenticalToFreeFunction) {
     EXPECT_EQ(legacy_scores[i], engine_scores[i]);
 }
 
+TEST(EngineDdp, MisspelledModeIsRejectedNotTrainedThreaded) {
+  const kg::Dataset ds = tiny_dataset();
+  Engine engine;
+  engine.create_model(tiny_spec("TransE"), ds.num_entities(),
+                      ds.num_relations());
+  distributed::DdpConfig dc;
+  dc.workers = 2;
+  dc.epochs = 1;
+  dc.mode = "proc";  // `sptx train --ddp-mode proc`
+  try {
+    (void)engine.train_ddp(kg::TripletSource(ds.train), dc);
+    FAIL() << "mode 'proc' must not silently train threaded";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kPrecondition);
+  }
+}
+
 // Checkpoint round-trip through the Engine for every one of the 11 sparse
 // families: save via Engine, reload into a fresh Engine, and assert the
 // serving layer returns identical scores.

@@ -199,13 +199,15 @@ class RawThreadsRule(unittest.TestCase):
         self.assertIn("raw-threads", found[0])
         self.assertIn("foo.cpp", found[0])
 
-    def test_runtime_dir_and_ddp_fork_join_site_are_exempt(self):
+    def test_runtime_dir_is_exempt_but_ddp_fork_join_site_is_not(self):
         files = {
             "src/runtime/pool.cpp": "std::thread worker(loop);\n",
             "src/distributed/ddp.cpp": "std::thread w(run_shard);\n",
         }
         with FixtureTree(files) as root:
-            self.assertEqual(lint(root, "raw-threads"), [])
+            found = lint(root, "raw-threads")
+        self.assertEqual(len(found), 1)
+        self.assertIn(os.path.join("src", "distributed", "ddp.cpp"), found[0])
 
     def test_this_thread_and_comments_are_clean(self):
         files = {"src/serve/bar.cpp":

@@ -143,6 +143,8 @@ TEST_P(ProcDdpFamilyTest, BitIdenticalToThreadsForAnyWorkerCount) {
           << family << " workers=" << workers << " epoch " << i;
     EXPECT_EQ(procs.workers, workers);
     EXPECT_EQ(procs.workers_lost, 0);
+    EXPECT_EQ(procs.shards_executed, reference.shards_executed)
+        << family << " workers=" << workers;
   }
   expect_no_children();
 }
