@@ -1,4 +1,4 @@
-// Ablation: SpMM kernel variants (naive / unrolled / tiled / OpenMP-parallel
+// Ablation: SpMM kernel variants (naive / unrolled / tiled / pool-parallel
 // / AVX2-SIMD / combined / auto-dispatched) and storage formats (CSR vs COO)
 // — design choices §2 and §5.5 call out. google-benchmark microbenchmarks
 // over incidence-shaped matrices. tools/run_benches.sh captures this bench
@@ -163,7 +163,8 @@ void BM_SpmmBackwardExplicitTranspose(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * w.csr.nnz() * w.x.cols());
 }
 
-#define SPTX_ARGS ->Args({8192, 64})->Args({8192, 256})->Args({32768, 128})
+#define SPTX_ARGS \
+  ->Args({8192, 64})->Args({8192, 256})->Args({32768, 128})->UseRealTime()
 
 BENCHMARK(BM_SpmmCsrNaive) SPTX_ARGS;
 BENCHMARK(BM_SpmmCsrUnrolled) SPTX_ARGS;

@@ -7,17 +7,17 @@
 // six sparse model families twice:
 //
 //   * fixed-order (§5.3 protocol): reports epoch-1 wall time vs the mean
-//     cached-epoch wall time, plus the legacy rebuild path's mean epoch for
-//     reference, and the cache/build counters that prove reuse;
-//   * shuffled + resampled: plans invalidate every epoch, so the comparison
-//     becomes prefetch off vs on (background compilation of epoch e+1
-//     overlapping epoch e).
+//     cached-epoch wall time, and the cache/build counters that prove reuse;
+//   * shuffled + resampled: plans invalidate every epoch and epoch e+1
+//     compiles as a pool prefetch task overlapping epoch e; reports the
+//     run's total wall time.
 //
 // Output is one JSON document on stdout — tools/run_benches.sh captures it
 // as BENCH_pipeline.json for the PR-to-PR perf trajectory.
 #include <cstdio>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_common.hpp"
@@ -28,10 +28,8 @@ namespace {
 struct PipelineRow {
   std::string model;
   double epoch1_s = 0.0;
-  double cached_epoch_s = 0.0;   // mean of epochs >= 2 (plan path)
-  double legacy_epoch_s = 0.0;   // mean epoch of the rebuild path
-  double prefetch_off_s = 0.0;   // total seconds, shuffled + resampled
-  double prefetch_on_s = 0.0;
+  double cached_epoch_s = 0.0;    // mean of epochs >= 2
+  double shuffled_total_s = 0.0;  // total seconds, shuffled + resampled
   std::int64_t plan_hits = 0;
   std::int64_t incidence_builds = 0;
 };
@@ -40,12 +38,6 @@ double mean_tail(const std::vector<double>& xs) {
   if (xs.size() < 2) return 0.0;
   return std::accumulate(xs.begin() + 1, xs.end(), 0.0) /
          static_cast<double>(xs.size() - 1);
-}
-
-double mean_all(const std::vector<double>& xs) {
-  if (xs.empty()) return 0.0;
-  return std::accumulate(xs.begin(), xs.end(), 0.0) /
-         static_cast<double>(xs.size());
 }
 
 PipelineRow run_model(const std::string& name, const kg::Dataset& ds,
@@ -70,29 +62,17 @@ PipelineRow run_model(const std::string& name, const kg::Dataset& ds,
 
   {  // Fixed-order protocol: cache serves every epoch after the first.
     auto model = fresh();
-    tc.plan_cache = true;
     const auto r = train::train(*model, ds.train, tc);
     row.epoch1_s = r.epoch_seconds.empty() ? 0.0 : r.epoch_seconds.front();
     row.cached_epoch_s = mean_tail(r.epoch_seconds);
     row.plan_hits = r.plan_stats.hits;
     row.incidence_builds = r.incidence_builds;
   }
-  {  // Legacy per-batch rebuild reference.
-    auto model = fresh();
-    tc.plan_cache = false;
-    const auto r = train::train(*model, ds.train, tc);
-    row.legacy_epoch_s = mean_all(r.epoch_seconds);
-  }
-  {  // Variant schedule: prefetch off vs on.
-    tc.plan_cache = true;
+  {  // Variant schedule: every epoch recompiles, prefetched one ahead.
     tc.shuffle = true;
     tc.resample_negatives = true;
-    tc.prefetch = false;
-    auto off_model = fresh();
-    row.prefetch_off_s = train::train(*off_model, ds.train, tc).total_seconds;
-    tc.prefetch = true;
-    auto on_model = fresh();
-    row.prefetch_on_s = train::train(*on_model, ds.train, tc).total_seconds;
+    auto model = fresh();
+    row.shuffled_total_s = train::train(*model, ds.train, tc).total_seconds;
   }
   return row;
 }
@@ -115,21 +95,21 @@ int main() {
   std::printf("  \"triplets\": %lld,\n",
               static_cast<long long>(ds.train.size()));
   std::printf("  \"epochs\": %d,\n", epochs);
+  std::printf("  \"cores\": %u,\n", std::thread::hardware_concurrency());
   std::printf(
       "  \"paper_shape\": \"cached epochs never slower than epoch 1; "
-      "rebuild-heavy shapes measurably faster; prefetch hides plan "
-      "compilation under shuffled/resampled schedules\",\n");
+      "rebuild-heavy shapes measurably faster; shuffled/resampled "
+      "schedules recompile every epoch, prefetched one epoch ahead\",\n");
   std::printf("  \"models\": [\n");
   for (std::size_t i = 0; i < families.size(); ++i) {
     const PipelineRow row = run_model(families[i], ds, epochs);
     std::printf(
         "    {\"model\": \"%s\", \"epoch1_s\": %.6f, \"cached_epoch_s\": "
-        "%.6f, \"cached_speedup\": %.3f, \"legacy_epoch_s\": %.6f, "
-        "\"prefetch_off_s\": %.6f, \"prefetch_on_s\": %.6f, \"plan_hits\": "
-        "%lld, \"incidence_builds\": %lld}%s\n",
+        "%.6f, \"cached_speedup\": %.3f, \"shuffled_total_s\": %.6f, "
+        "\"plan_hits\": %lld, \"incidence_builds\": %lld}%s\n",
         row.model.c_str(), row.epoch1_s, row.cached_epoch_s,
         row.cached_epoch_s > 0.0 ? row.epoch1_s / row.cached_epoch_s : 0.0,
-        row.legacy_epoch_s, row.prefetch_off_s, row.prefetch_on_s,
+        row.shuffled_total_s,
         static_cast<long long>(row.plan_hits),
         static_cast<long long>(row.incidence_builds),
         i + 1 < families.size() ? "," : "");

@@ -56,7 +56,7 @@ class Engine {
  public:
   struct Options {
     /// (knob, value) overrides applied on top of the environment snapshot,
-    /// e.g. {{"SPTX_SPMM_KERNEL", "simd"}, {"SPTX_PLAN_CACHE", "0"}}.
+    /// e.g. {{"SPTX_SPMM_KERNEL", "simd"}, {"SPTX_DDP_PLAN_CACHE", "0"}}.
     /// Validated against the registry — a typo throws at construction.
     std::vector<std::pair<std::string, std::string>> config_overrides;
     /// Install this engine's snapshot as the process-wide config

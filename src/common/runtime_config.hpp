@@ -18,7 +18,7 @@
 //  * to_json()                 — the effective configuration as JSON, for
 //    logging what a run actually used.
 //
-// Knobs that default to "keep the config-struct field" (SPTX_PLAN_CACHE,
+// Knobs that default to "keep the config-struct field" (SPTX_DDP_PLAN_CACHE,
 // SPTX_DDP_WORKERS, …) are tri-state: is_set() distinguishes "absent" from
 // an explicit value, and the *_or accessors fall back to the caller's value.
 // All flag parsing is case-insensitive: "0" / "off" / "false" / "no"
@@ -53,7 +53,7 @@ enum class ConfigType {
 /// One registered knob. The table is pure data — adding a knob means adding
 /// a row here and reading it where it applies.
 struct ConfigSpec {
-  std::string_view name;           // "SPTX_PLAN_CACHE"
+  std::string_view name;           // "SPTX_DDP_PLAN_CACHE"
   ConfigType type = ConfigType::kFlag;
   /// Canonical default in text form. Empty = tri-state "keep the caller's
   /// config-struct field" (the *_or accessors' fallback applies).
@@ -121,7 +121,6 @@ class RuntimeConfig {
   struct HotKnobs {
     bool no_simd = false;
     bool fused_off = false;              // SPTX_FUSED == "off"
-    bool runtime_pool = true;            // SPTX_RUNTIME != "legacy"
     std::string spmm_kernel = "auto";    // lowercased
     std::string spmm_backward = "auto";  // lowercased
   };

@@ -104,28 +104,19 @@ class ThreadExecutor final : public ShardExecutor {
         errors[static_cast<std::size_t>(w)] = std::current_exception();
       }
     };
-    if (runtime::use_pool()) {
-      // Logical worker w keeps its id on the pool, so the shard assignment
-      // and the die@epoch:worker fault sites match the legacy path, and
-      // TaskGroup::wait() is the join. Workers running as pool tasks run
-      // their fused kernels on the same pool: nested parallel_for composes
-      // instead of oversubscribing. With too few pool workers the waiting
-      // driver executes the queued bodies itself — placement changes,
-      // results do not.
-      runtime::TaskGroup tg;
-      auto& pool = runtime::TaskPool::instance();
-      for (int w = 1; w < p; ++w)
-        pool.submit(tg, [&work, w] { work(w); }, runtime::TaskClass::kDdp);
-      work(0);
-      tg.wait();
-    } else {
-      std::vector<runtime::Thread> threads;
-      threads.reserve(static_cast<std::size_t>(p - 1));
-      for (int w = 1; w < p; ++w)
-        threads.emplace_back([&work, w] { work(w); });
-      work(0);
-      for (auto& t : threads) t.join();
-    }
+    // Logical worker w keeps its id on the pool, so the shard assignment
+    // and the die@epoch:worker fault sites do not depend on the pool
+    // width, and TaskGroup::wait() is the join. Workers running as pool
+    // tasks run their fused kernels on the same pool: nested parallel_for
+    // composes instead of oversubscribing. With too few pool workers the
+    // waiting driver executes the queued bodies itself — placement
+    // changes, results do not.
+    runtime::TaskGroup tg;
+    auto& pool = runtime::TaskPool::instance();
+    for (int w = 1; w < p; ++w)
+      pool.submit(tg, [&work, w] { work(w); }, runtime::TaskClass::kDdp);
+    work(0);
+    tg.wait();
 
     std::exception_ptr first_error;
     int failed = 0;

@@ -16,8 +16,8 @@
 //    reduced in shard-index order — so the result is bit-identical no
 //    matter how many workers executed the shards, or where. The shards run
 //    on one of two ShardExecutor backends:
-//      - train_ddp (this header, ddp.cpp): in-process workers, as pool
-//        tasks or (SPTX_RUNTIME=legacy) runtime::Threads;
+//      - train_ddp (this header, ddp.cpp): in-process workers as pool
+//        tasks;
 //      - train_ddp_procs (proc_ddp.hpp): supervised worker processes over
 //        the sockets/shm transport, with process-level fault isolation.
 //    Fed a kg::StreamingTripletStore the trainer reads positives as

@@ -11,10 +11,6 @@
 #include <thread>
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "src/common/error.hpp"
 #include "src/common/runtime_config.hpp"
 #include "src/profiling/counters.hpp"
@@ -180,6 +176,9 @@ struct TaskPool::Impl {
   const int configured_threads;  // pool width incl. the calling lane
   const int partitions;
   const ::pid_t pid = ::getpid();
+  // The Impl this one replaced (resize, or first use after fork). It is
+  // retained on purpose, never freed; the link keeps it reachable.
+  Impl* previous = nullptr;
 
   struct WorkerQueue {
     Mutex mu;
@@ -524,6 +523,7 @@ TaskPool::Impl& TaskPool::impl() const {
   const int width = static_cast<int>(
       config::current()->int_or("SPTX_RUNTIME_THREADS", hardware_threads()));
   Impl* fresh = new Impl(width);
+  fresh->previous = impl;
   Impl* expected = impl;
   if (!impl_.compare_exchange_strong(expected, fresh,
                                      std::memory_order_acq_rel)) {
@@ -545,6 +545,7 @@ void TaskPool::resize(int threads) {
     return;
   old.shutdown();
   Impl* fresh = new Impl(threads);
+  fresh->previous = &old;
   // Counters carry over so stats()/bench windows survive a resize.
   for (int c = 0; c < kNumClasses; ++c) {
     fresh->submitted[c] = old.submitted[c].load(std::memory_order_relaxed);
@@ -686,9 +687,7 @@ TaskPool::Stats TaskPool::stats() const {
 
 std::string TaskPool::stats_json() const {
   const Stats s = stats();
-  std::string out = "{\"mode\": \"";
-  out += use_pool() ? "pool" : "legacy";
-  out += "\", \"threads\": " + std::to_string(s.threads);
+  std::string out = "{\"threads\": " + std::to_string(s.threads);
   out += ", \"partitions\": " + std::to_string(s.partitions);
   out += ", \"queue_depth\": " + std::to_string(s.queue_depth);
   out += ", \"parked_workers\": " + std::to_string(s.parked_workers);
@@ -716,8 +715,8 @@ std::string TaskPool::stats_json() const {
 
 TaskGroup::~TaskGroup() {
   if (pending_.load(std::memory_order_acquire) != 0) {
-    // Unwind safety: drain without throwing (mirrors the joining-thread
-    // destructor the prefetch path used to rely on).
+    // Unwind safety: drain without throwing, so no task outlives the
+    // stack locals it captured by reference.
     try {
       TaskPool::help_group(*this);
     } catch (...) {
@@ -761,17 +760,6 @@ const char* task_class_name(TaskClass c) {
     case TaskClass::kNumClasses: break;
   }
   return "unknown";
-}
-
-bool use_pool() { return config::current()->hot().runtime_pool; }
-
-int num_threads() {
-  if (use_pool()) return TaskPool::instance().threads();
-#ifdef _OPENMP
-  return omp_get_max_threads();
-#else
-  return hardware_threads();
-#endif
 }
 
 }  // namespace sptx::runtime

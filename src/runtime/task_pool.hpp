@@ -1,16 +1,15 @@
 // Process-wide work-stealing task runtime — the one view of parallelism.
 //
-// Before this subsystem, three ad-hoc threading schemes coexisted (the
-// OpenMP parallel_for under the SpMM kernels, the trainer's epoch-prefetch
-// thread, the DDP fork/join workers, the MicroBatcher's execution slots)
-// and each assumed it owned the machine, so composing them — training while
-// serving, DDP shards running fused kernels — oversubscribed cores. The
-// TaskPool replaces all of them: a singleton pool of `threads() - 1` worker
-// threads (the calling thread is the remaining lane) with Chase-Lev-style
-// per-worker deques — the owner pushes and pops at the bottom (LIFO), thieves
-// take half the queue from the top (FIFO) — plus a global injection queue for
-// tasks submitted from threads outside the pool, and exponential-backoff
-// parking for idle workers.
+// Every parallel site — the SpMM kernels' parallel_for, the trainer's
+// epoch prefetch, the DDP workers, the MicroBatcher's execution slots, ANN
+// builds — runs here, so composing them (training while serving, DDP
+// shards running fused kernels) shares one set of lanes instead of
+// oversubscribing cores. The TaskPool is a singleton pool of
+// `threads() - 1` worker threads (the calling thread is the remaining lane)
+// with Chase-Lev-style per-worker deques — the owner pushes and pops at the
+// bottom (LIFO), thieves take half the queue from the top (FIFO) — plus a
+// global injection queue for tasks submitted from threads outside the pool,
+// and exponential-backoff parking for idle workers.
 //
 // The deques are mutex-guarded rather than lock-free: every task is at least
 // a grain of real work, so the per-task lock is uncontended noise, and in
@@ -29,9 +28,8 @@
 // drain queued tasks instead of blocking, so submit()+wait() works on a
 // zero-worker pool.
 //
-// Knobs (runtime-config registry): SPTX_RUNTIME=pool|legacy selects this
-// pool or the historical per-site threading (bit-identical escape hatch);
-// SPTX_RUNTIME_THREADS caps the pool width (default: hardware concurrency).
+// Knob (runtime-config registry): SPTX_RUNTIME_THREADS caps the pool width
+// (default: hardware concurrency).
 #pragma once
 
 #include <atomic>
@@ -182,7 +180,7 @@ class TaskPool {
   Stats stats() const;
 
   /// The stats as a JSON object (Engine::health_json embeds it verbatim):
-  /// {"mode": ..., "threads": ..., "queue_depth": ..., "steal_ratio": ...,
+  /// {"threads": ..., "queue_depth": ..., "steal_ratio": ...,
   ///  "classes": {"kernel": {...}, ...}}.
   std::string stats_json() const;
 
@@ -200,20 +198,10 @@ class TaskPool {
   static void help_group(TaskGroup& group);
 };
 
-/// True when SPTX_RUNTIME resolves to the shared pool (the default);
-/// false selects the legacy per-site threading, bit-identical to the
-/// pre-runtime code paths.
-bool use_pool();
-
-/// Worker-thread budget the parallel code sizes itself against: the pool
-/// width under SPTX_RUNTIME=pool, the historical OpenMP/hardware count
-/// under legacy. (The SpMM auto-kernel heuristics consult this.)
-int num_threads();
-
-/// RAII join-on-destruction thread for the legacy escape-hatch code paths
-/// (SPTX_RUNTIME=legacy keeps the trainer's dedicated prefetch thread).
-/// Raw std::thread construction is lint-banned outside src/runtime/ — the
-/// legacy sites spawn through this wrapper so the ban stays meaningful.
+/// RAII join-on-destruction thread for the few sites that need a dedicated
+/// thread rather than pool work (the process-DDP heartbeat). Raw
+/// std::thread construction is lint-banned outside src/runtime/ — those
+/// sites spawn through this wrapper so the ban stays meaningful.
 class Thread {
  public:
   Thread() = default;

@@ -130,7 +130,7 @@ class CompiledBatch {
 };
 
 /// Keyed store of compiled plans with explicit invalidation. Thread-safe:
-/// the prefetch thread inserts next-epoch plans while the training thread
+/// a prefetch task inserts next-epoch plans while the training thread
 /// may still be reading — entries are shared_ptr so a concurrently evicted
 /// plan stays alive for whoever holds it.
 class PlanCache {

@@ -479,7 +479,7 @@ SpmmKernel spmm_auto_kernel(const Csr& a, index_t dim) {
   if (forced != SpmmKernel::kAuto) return forced;
   const std::int64_t work = a.nnz() * dim;
   const bool parallel_pays =
-      runtime::num_threads() > 1 && work >= kParallelMinWork;
+      runtime::TaskPool::instance().threads() > 1 && work >= kParallelMinWork;
   if (!simd_enabled()) {
     if (parallel_pays) return SpmmKernel::kParallel;
     return dim >= 512 ? SpmmKernel::kTiled : SpmmKernel::kUnrolled;
@@ -568,7 +568,8 @@ bool spmm_backward_uses_transpose(const Csr& a, index_t dim) {
   // heuristic stays conservative so uncached callers never pay a full-table
   // transpose to replace a few thousand axpys.
   const std::int64_t work = a.nnz() * dim;
-  bool use_transpose = runtime::num_threads() > 1 && work >= kParallelMinWork / 8 &&
+  bool use_transpose = runtime::TaskPool::instance().threads() > 1 &&
+                       work >= kParallelMinWork / 8 &&
                        work >= 8 * (a.nnz() + a.cols);
   const auto snapshot = config::current();  // keeps hot() storage alive
   const std::string& forced = snapshot->hot().spmm_backward;

@@ -6,8 +6,8 @@
 // them every batch of every epoch) and pre-building every incidence matrix
 // the model's ScoringRecipe names. Compilation consumes only plain data —
 // the triplet store, a negatives snapshot, a permutation — never the model's
-// weights or the run's RNG, so the trainer can run it on a background
-// prefetch thread while the previous epoch executes (double buffering).
+// weights or the run's RNG, so the trainer can run it as a pool prefetch
+// task while the previous epoch executes (double buffering).
 //
 // Plans flow through a sparse::PlanCache keyed by batch ordinal: when the
 // batch composition is epoch-invariant (no shuffle, no negative resampling)
@@ -34,8 +34,8 @@ struct BatchPlan {
 
 /// The inputs one epoch's compilation consumes. All RNG-driven state (the
 /// permutation, refreshed negatives) is produced by the caller on the
-/// driving thread, which keeps the RNG stream identical with prefetch on or
-/// off. Spans must outlive the compiled plans unless staging copies them
+/// driving thread, which keeps the RNG stream independent of where the
+/// compile runs. Spans must outlive the compiled plans unless staging copies them
 /// (shuffle or k > 1 always stage).
 struct EpochBatchSource {
   /// Positives — an in-memory store or an mmap'd streaming store; batches

@@ -15,9 +15,9 @@
 // protocol (no shuffle, no negative resampling) the schedule is
 // epoch-invariant and every epoch after the first runs with zero incidence
 // rebuilds; shuffle / resample_negatives invalidate the cache and
-// recompile, optionally on a background prefetch thread that compiles epoch
-// e+1 while epoch e executes (double buffering — bit-exact either way,
-// because all RNG stays on the driving thread).
+// recompile epoch e+1 as a prefetch task on the shared runtime::TaskPool
+// while epoch e executes (double buffering). All RNG stays on the driving
+// thread, so the trajectory is the same at every pool width.
 #pragma once
 
 #include <functional>
@@ -70,24 +70,12 @@ struct TrainConfig {
   /// (0 = off) — forwarded to the optimizer.
   float weight_decay = 0.0f;
   float grad_clip_norm = 0.0f;
-  /// Compile batch plans (staged pairs + pre-built incidence, batch_plan.hpp)
-  /// and cache them across epochs. Off = the legacy per-batch rebuild path,
-  /// kept as the reference the plan pipeline is tested bit-exact against.
-  /// SPTX_PLAN_CACHE=0|1 overrides.
-  bool plan_cache = true;
-  /// Compile epoch e+1's plans on a background thread while epoch e
-  /// executes. Only engages when shuffle / resample_negatives invalidate
-  /// plans every epoch (otherwise the cache already serves them).
-  /// SPTX_PREFETCH=0|1 overrides.
-  bool prefetch = true;
   /// Crash safety: when > 0, write an atomic CRC-checksummed training
   /// checkpoint (model + optimizer + RNG + epoch cursor + sampling
   /// buffers) to `<checkpoint_path>.ep<N>` after every `checkpoint_every`
   /// completed epochs. A run resumed from such a checkpoint continues the
   /// exact trajectory — final parameters are bit-identical to the
-  /// uninterrupted run (given the same plan_cache setting; the two
-  /// pipelines stage their RNG differently). SPTX_CHECKPOINT_EVERY
-  /// overrides.
+  /// uninterrupted run. SPTX_CHECKPOINT_EVERY overrides.
   int checkpoint_every = 0;
   /// Base path for rotated checkpoints; required when checkpoint_every > 0.
   std::string checkpoint_path;
@@ -107,8 +95,8 @@ struct TrainResult {
   double total_seconds = 0.0;
   std::int64_t peak_bytes = 0;        // tracked allocation high-water mark
   std::int64_t flops = 0;             // FLOPs spent inside the loop
-  /// Plan-compilation stage: synchronous compiles plus time spent waiting
-  /// on the prefetch thread at epoch boundaries.
+  /// Plan-compilation stage: compiles on the driving thread plus time spent
+  /// waiting for the prefetch task at epoch boundaries.
   double plan_compile_s = 0.0;
   /// Wall time per epoch (epoch 0 includes its plan compilation) — the
   /// first-epoch vs cached-epoch comparison bench_pipeline reports.
@@ -127,8 +115,8 @@ struct TrainResult {
   std::string last_checkpoint;
 };
 
-/// Apply the registry's training overrides (SPTX_PLAN_CACHE, SPTX_PREFETCH)
-/// to `config`. Knobs left unset in the snapshot keep the config's fields.
+/// Apply the registry's training overrides (SPTX_CHECKPOINT_EVERY,
+/// SPTX_CHECKPOINT_KEEP) to `config`. Knobs left unset in the snapshot keep the config's fields.
 TrainConfig resolve(const TrainConfig& config, const RuntimeConfig& rc);
 
 /// Train `model` on `data` per `config`. The callback (optional) fires after

@@ -1,24 +1,29 @@
 // BatchPlan compilation pipeline tests.
 //
-// The plan/execute split must be invisible to the math: training through
-// cached (and prefetched) plans has to reproduce the legacy per-batch
-// rebuild path bit-for-bit for every model family, while the profiling
+// The plan/execute split must be invisible to the math: every compiled
+// batch stages exactly the pairs the §5.3 loop pairs up, and its loss and
+// gradients equal the span path's bit for bit for every model family; the
+// prefetched schedule trains identically at every pool width. The profiling
 // counters prove the structural claims — zero incidence rebuilds after the
 // first epoch of an invariant schedule, full invalidation under shuffle /
 // negative resampling, and candidate-plan reuse across repeated
-// evaluations. Extends the kernel-equivalence pattern one layer up: instead
-// of kernels against a dense reference, whole training runs against the
-// reference pipeline.
+// evaluations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "src/eval/link_prediction.hpp"
+#include "src/kg/negative_sampler.hpp"
 #include "src/kg/synthetic.hpp"
 #include "src/models/model.hpp"
+#include "src/nn/optim.hpp"
 #include "src/profiling/counters.hpp"
+#include "src/runtime/task_pool.hpp"
 #include "src/sparse/incidence.hpp"
 #include "src/sparse/plan_cache.hpp"
 #include "src/tensor/matrix.hpp"
@@ -77,64 +82,134 @@ void expect_identical_losses(const train::TrainResult& a,
   }
 }
 
-// ---- Bit-exactness of the compiled pipeline ------------------------------
+// ---- Compiled batches against the span path ------------------------------
 
-TEST(BatchPlan, PlannedMatchesLegacyBitExactAllFamilies) {
+/// Bitwise equality of two matrices (shape and every float's bits).
+bool bits_equal(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.bytes()) == 0;
+}
+
+/// Loss value and a copy of every parameter gradient for one batch loss.
+struct LossAndGrads {
+  float loss = 0.0f;
+  std::vector<Matrix> grads;
+};
+
+template <typename LossFn>
+LossAndGrads loss_and_grads(models::KgeModel& model, const LossFn& fn) {
+  std::vector<autograd::Variable> params = model.params();
+  for (auto& p : params) p.zero_grad();
+  autograd::Variable loss = fn();
+  loss.backward();
+  LossAndGrads out;
+  out.loss = loss.value().at(0, 0);
+  for (auto& p : params) out.grads.push_back(p.grad());
+  return out;
+}
+
+// Every compiled batch the trainer executes must stage exactly the pairs
+// the §5.3 loop pairs up — positive data[positions[i]] against negative
+// negatives[rep·m + positions[i]] — and its plan-path loss must equal the
+// span path's bit for bit, in value and in every parameter gradient. Runs
+// the hardest schedule (shuffle + resample + k = 2) for all 11 families,
+// over two epochs with an SGD step between batches so later batches score
+// moved weights.
+TEST(BatchPlan, CompiledBatchesMatchSpanLossAndGradsAllFamilies) {
   const kg::Dataset ds = small_dataset();
+  const index_t m = ds.train.size();
+  const int k = 2;
+  const index_t batch_size = 128;
+  const kg::NegativeSampler sampler(ds.train, kg::CorruptionScheme::kUniform,
+                                    /*filtered=*/false);
   for (const std::string& name : all_models()) {
-    train::TrainConfig planned = base_config();
-    planned.plan_cache = true;
-    planned.prefetch = false;
-    train::TrainConfig legacy = planned;
-    legacy.plan_cache = false;
-    expect_identical_losses(run(name, ds, planned), run(name, ds, legacy),
-                            name + " invariant schedule");
+    Rng model_rng(5);
+    auto model = models::make_sparse_model(name, ds.num_entities(),
+                                           ds.num_relations(), cfg16(),
+                                           model_rng);
+    auto* scoring = dynamic_cast<models::ScoringCoreModel*>(model.get());
+    ASSERT_NE(scoring, nullptr) << name;
+    nn::Sgd opt(model->params(), 0.05f);
+
+    Rng rng(11);
+    std::vector<index_t> positions(static_cast<std::size_t>(m));
+    std::iota(positions.begin(), positions.end(), index_t{0});
+    sparse::PlanCache cache;
+    for (int epoch = 0; epoch < 2; ++epoch) {
+      const std::vector<Triplet> negatives =
+          sampler.pregenerate_k(ds.train.triplets(), k, rng);
+      for (std::size_t i = positions.size(); i > 1; --i)
+        std::swap(positions[i - 1], positions[rng.next_below(i)]);
+
+      train::EpochBatchSource source;
+      source.data = kg::TripletSource(ds.train);
+      source.negatives = negatives;
+      source.positions = positions;
+      source.k = k;
+      source.batch_size = batch_size;
+      cache.invalidate();
+      const auto plans =
+          train::compile_epoch_plans(source, scoring->recipe(), &cache);
+      ASSERT_EQ(static_cast<index_t>(plans.size()),
+                (m + batch_size - 1) / batch_size)
+          << name;
+
+      for (std::size_t b = 0; b < plans.size(); ++b) {
+        const std::string what = name + " epoch " + std::to_string(epoch) +
+                                 " batch " + std::to_string(b);
+        const train::BatchPlan& bp = plans[b];
+        const index_t begin = static_cast<index_t>(b) * batch_size;
+        const index_t count = std::min(batch_size, m - begin);
+        std::vector<Triplet> want_pos, want_neg;
+        for (int rep = 0; rep < k; ++rep) {
+          for (index_t i = begin; i < begin + count; ++i) {
+            const index_t p = positions[static_cast<std::size_t>(i)];
+            want_pos.push_back(ds.train[p]);
+            want_neg.push_back(
+                negatives[static_cast<std::size_t>(rep * m + p)]);
+          }
+        }
+        EXPECT_TRUE(std::ranges::equal(bp.pos->triplets(), want_pos)) << what;
+        EXPECT_TRUE(std::ranges::equal(bp.neg->triplets(), want_neg)) << what;
+
+        const LossAndGrads span = loss_and_grads(*model, [&] {
+          return model->loss(bp.pos->triplets(), bp.neg->triplets());
+        });
+        const LossAndGrads planned = loss_and_grads(
+            *model, [&] { return scoring->loss(*bp.pos, *bp.neg); });
+        EXPECT_EQ(std::memcmp(&planned.loss, &span.loss, sizeof(float)), 0)
+            << what << ": " << planned.loss << " vs " << span.loss;
+        ASSERT_EQ(planned.grads.size(), span.grads.size()) << what;
+        for (std::size_t g = 0; g < span.grads.size(); ++g)
+          EXPECT_TRUE(bits_equal(planned.grads[g], span.grads[g]))
+              << what << " param " << g;
+
+        opt.step();  // the planned gradients are the live ones
+        model->post_step();
+      }
+    }
   }
 }
 
-TEST(BatchPlan, PlannedMatchesLegacyUnderShuffleAndResample) {
-  const kg::Dataset ds = small_dataset();
-  for (const std::string& name : all_models()) {
-    train::TrainConfig planned = base_config();
-    planned.shuffle = true;
-    planned.resample_negatives = true;
-    planned.negatives_per_positive = 2;
-    planned.plan_cache = true;
-    planned.prefetch = false;
-    train::TrainConfig legacy = planned;
-    legacy.plan_cache = false;
-    expect_identical_losses(run(name, ds, planned), run(name, ds, legacy),
-                            name + " shuffled/resampled schedule");
-  }
-}
-
-TEST(BatchPlan, KTilingInPlanMatchesLegacy) {
-  const kg::Dataset ds = small_dataset();
-  train::TrainConfig planned = base_config();
-  planned.negatives_per_positive = 3;  // epoch-invariant tiling in the plan
-  planned.plan_cache = true;
-  planned.prefetch = false;
-  train::TrainConfig legacy = planned;
-  legacy.plan_cache = false;
-  for (const std::string& name : {std::string("TransE"), std::string("TransH")})
-    expect_identical_losses(run(name, ds, planned), run(name, ds, legacy),
-                            name + " k=3 tiling");
-}
-
-TEST(BatchPlan, PrefetchOnOffBitExact) {
+// The prefetch task runs inline in the wait on a 1-lane pool and on a
+// worker at 4 lanes; the trajectory must not depend on which.
+TEST(BatchPlan, PrefetchBitExactAcrossPoolWidths) {
+  auto& pool = runtime::TaskPool::instance();
+  const int width = pool.threads();
   const kg::Dataset ds = small_dataset();
   for (const std::string& name :
        {std::string("TransE"), std::string("TransR"), std::string("ComplEx")}) {
-    train::TrainConfig on = base_config();
-    on.shuffle = true;
-    on.resample_negatives = true;
-    on.plan_cache = true;
-    on.prefetch = true;
-    train::TrainConfig off = on;
-    off.prefetch = false;
-    expect_identical_losses(run(name, ds, on), run(name, ds, off),
-                            name + " prefetch on/off");
+    train::TrainConfig tc = base_config();
+    tc.shuffle = true;
+    tc.resample_negatives = true;
+    pool.resize(1);
+    const auto one_lane = run(name, ds, tc);
+    pool.resize(4);
+    const auto four_lanes = run(name, ds, tc);
+    expect_identical_losses(one_lane, four_lanes, name + " 1 vs 4 lanes");
+    EXPECT_EQ(four_lanes.plan_stats.invalidations, tc.epochs - 1) << name;
   }
+  pool.resize(width);
 }
 
 // ---- Cache behaviour: the structural claims ------------------------------
@@ -145,7 +220,6 @@ TEST(BatchPlan, InvariantScheduleRebuildsNothingAfterFirstEpoch) {
        {std::string("TransE"), std::string("TransH"), std::string("TransD")}) {
     train::TrainConfig one = base_config();
     one.epochs = 1;
-    one.prefetch = false;
     train::TrainConfig many = one;
     many.epochs = 5;
     const auto r1 = run(name, ds, one);
@@ -168,7 +242,6 @@ TEST(BatchPlan, ShuffleInvalidatesEveryEpoch) {
   train::TrainConfig tc = base_config();
   tc.epochs = 3;
   tc.shuffle = true;
-  tc.prefetch = false;
   const auto r = run("TransE", ds, tc);
   EXPECT_EQ(r.plan_stats.hits, 0);
   EXPECT_EQ(r.plan_stats.invalidations, tc.epochs - 1);
@@ -184,7 +257,6 @@ TEST(BatchPlan, ResampleInvalidatesEveryEpoch) {
   train::TrainConfig tc = base_config();
   tc.epochs = 3;
   tc.resample_negatives = true;
-  tc.prefetch = false;
   const auto r = run("TransE", ds, tc);
   EXPECT_EQ(r.plan_stats.hits, 0);
   EXPECT_EQ(r.plan_stats.invalidations, tc.epochs - 1);

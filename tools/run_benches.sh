@@ -17,7 +17,8 @@
 #   BENCH_hotspots.txt   bench_fig2_hotspots text artefact (dense-baseline
 #                        profile that motivates the sparse formulation)
 #   BENCH_pipeline.json  bench_pipeline: epoch-1 vs cached-epoch wall time
-#                        per model family, prefetch on/off under shuffle
+#                        per model family, plus the prefetched total under
+#                        shuffle + resample
 #   BENCH_ddp.json       bench_ddp: sharded multi-worker trainer over
 #                        in-memory vs mmap-streamed stores (time, loss,
 #                        sparse all-reduce rows, plan-cache traffic)
@@ -28,7 +29,7 @@
 #                        TorusE on the Fig-2 workload
 #   BENCH_runtime.json   bench_runtime: TaskPool thread scaling (SpMM /
 #                        fused epoch / serve QPS at 1-8 lanes) + composed
-#                        train+serve, pool vs legacy threading
+#                        train+serve on the shared pool
 #
 # Knobs: SPTX_BENCH_MIN_TIME (per-benchmark min time, default 0.2s),
 # SPTX_EPOCHS / SPTX_SCALE forwarded to the hotspot bench as usual.

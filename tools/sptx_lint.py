@@ -23,8 +23,8 @@ compiler enforces:
                   random stream is a seeded sptx::Rng, so any run is
                   replayable from its logged seeds.
   raw-threads     std::thread appears only inside src/runtime/ (the
-                  TaskPool's workers plus the legacy-mode runtime::Thread
-                  wrapper) — every other site schedules through
+                  TaskPool's workers plus the runtime::Thread wrapper for
+                  dedicated threads) — every other site schedules through
                   runtime::TaskPool or spawns a runtime::Thread, so the
                   process keeps one view of available parallelism.
   process-control fork/exec/kill/waitpid appear only inside
@@ -290,7 +290,7 @@ class Linter:
         """std::thread construction is a runtime-internal privilege.
 
         Allowed only in src/runtime/ (the pool's workers and the
-        legacy-mode runtime::Thread wrapper). std::this_thread
+        runtime::Thread wrapper). std::this_thread
         (sleep/yield) is fine anywhere.
         """
         allowed_dir = os.path.join("src", "runtime") + os.sep
@@ -305,8 +305,8 @@ class Linter:
                     self.report(
                         path, lineno, "raw-threads",
                         "raw std::thread outside src/runtime/ — submit to "
-                        "runtime::TaskPool (or spawn a runtime::Thread on a "
-                        "legacy-mode path) so the process keeps one view of "
+                        "runtime::TaskPool (or spawn a runtime::Thread for a "
+                        "dedicated thread) so the process keeps one view of "
                         "available parallelism")
 
     # -- rule: process-control ------------------------------------------------
