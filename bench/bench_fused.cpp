@@ -3,7 +3,10 @@
 // workload, SPTX_FUSED=off (legacy autograd graph) vs on (single-pass
 // fused kernels). Also cross-checks the final-epoch losses so a speedup
 // can never come from silently diverging math, and reports the
-// forward/backward phase split (the fused layer attacks both).
+// forward/backward phase split (the fused layer attacks both). Every
+// model × dataset is run at both kernel lane widths: "simd": "avx2" (the
+// W=8 copy, when cpuid allows it) and "scalar" (W=1, forced through
+// SPTX_NO_SIMD).
 //
 // Output is one JSON document on stdout — tools/run_benches.sh captures it
 // as BENCH_fused.json for the PR-to-PR perf trajectory.
@@ -13,6 +16,7 @@
 #include <vector>
 
 #include "bench/bench_common.hpp"
+#include "src/common/cpu_features.hpp"
 
 namespace sptx {
 namespace {
@@ -20,6 +24,7 @@ namespace {
 struct FusedRow {
   std::string model;
   std::string dataset;
+  std::string simd;  // lane width the kernels ran at: "avx2" or "scalar"
   double autograd_epoch_s = 0.0;  // mean epoch wall time, SPTX_FUSED=off
   double fused_epoch_s = 0.0;     // mean epoch wall time, SPTX_FUSED=on
   double autograd_fwd_s = 0.0, autograd_bwd_s = 0.0;
@@ -35,10 +40,12 @@ double mean(const std::vector<double>& xs) {
 }
 
 FusedRow run_model(const std::string& name, const std::string& dataset,
-                   int epochs) {
+                   int epochs, bool scalar) {
+  config::ScopedOverride width("SPTX_NO_SIMD", scalar ? "1" : "0");
   FusedRow row;
   row.model = name;
   row.dataset = dataset;
+  row.simd = simd_enabled() ? "avx2" : "scalar";
 
   const kg::Dataset ds = bench::load_scaled(dataset, 42);
   const models::ModelConfig cfg = bench::bench_config(name);
@@ -74,7 +81,8 @@ int main() {
   std::vector<FusedRow> rows;
   for (const std::string dataset : {"FB13", "FB15K"}) {
     for (const std::string name : {"TransE", "TransR", "TorusE"}) {
-      rows.push_back(run_model(name, dataset, epochs));
+      for (const bool scalar : {false, true})
+        rows.push_back(run_model(name, dataset, epochs, scalar));
     }
   }
 
@@ -87,13 +95,13 @@ int main() {
     const double speedup =
         r.fused_epoch_s > 0.0 ? r.autograd_epoch_s / r.fused_epoch_s : 0.0;
     std::printf(
-        "    {\"model\": \"%s\", \"dataset\": \"%s\", "
+        "    {\"model\": \"%s\", \"dataset\": \"%s\", \"simd\": \"%s\", "
         "\"autograd_epoch_s\": %.6f, \"fused_epoch_s\": %.6f, "
         "\"speedup\": %.3f, "
         "\"autograd_fwd_s\": %.6f, \"autograd_bwd_s\": %.6f, "
         "\"fused_fwd_s\": %.6f, \"fused_bwd_s\": %.6f, "
         "\"autograd_final_loss\": %.6f, \"fused_final_loss\": %.6f}%s\n",
-        r.model.c_str(), r.dataset.c_str(), r.autograd_epoch_s,
+        r.model.c_str(), r.dataset.c_str(), r.simd.c_str(), r.autograd_epoch_s,
         r.fused_epoch_s, speedup, r.autograd_fwd_s, r.autograd_bwd_s,
         r.fused_fwd_s, r.fused_bwd_s,
         static_cast<double>(r.autograd_loss),

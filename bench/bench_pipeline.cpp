@@ -1,10 +1,11 @@
 // BatchPlan pipeline bench: first-epoch vs cached-epoch wall time.
 //
-// The plan/execute split claims that with an epoch-invariant schedule every
-// epoch after the first skips plan compilation entirely (the PlanCache
-// serves it), so cached epochs must be no slower — and on rebuild-heavy
-// shapes measurably faster — than epoch 1. This bench trains each of the
-// six sparse model families twice:
+// With an epoch-invariant schedule every epoch after the first skips plan
+// compilation entirely (the PlanCache serves it). Whether that saving shows
+// in wall time is what this bench measures: at paper scale it is often
+// within run-to-run noise, so `paper_shape` is computed from the printed
+// rows, never asserted. The bench trains each of the six sparse model
+// families twice:
 //
 //   * fixed-order (§5.3 protocol): reports epoch-1 wall time vs the mean
 //     cached-epoch wall time, and the cache/build counters that prove reuse;
@@ -96,13 +97,16 @@ int main() {
               static_cast<long long>(ds.train.size()));
   std::printf("  \"epochs\": %d,\n", epochs);
   std::printf("  \"cores\": %u,\n", std::thread::hardware_concurrency());
-  std::printf(
-      "  \"paper_shape\": \"cached epochs never slower than epoch 1; "
-      "rebuild-heavy shapes measurably faster; shuffled/resampled "
-      "schedules recompile every epoch, prefetched one epoch ahead\",\n");
   std::printf("  \"models\": [\n");
+  int cached_faster = 0;
+  std::string slower;
   for (std::size_t i = 0; i < families.size(); ++i) {
     const PipelineRow row = run_model(families[i], ds, epochs);
+    if (row.cached_epoch_s < row.epoch1_s) {
+      ++cached_faster;
+    } else {
+      slower += (slower.empty() ? "" : ", ") + row.model;
+    }
     std::printf(
         "    {\"model\": \"%s\", \"epoch1_s\": %.6f, \"cached_epoch_s\": "
         "%.6f, \"cached_speedup\": %.3f, \"shuffled_total_s\": %.6f, "
@@ -115,6 +119,11 @@ int main() {
         i + 1 < families.size() ? "," : "");
     std::fflush(stdout);
   }
-  std::printf("  ]\n}\n");
+  std::printf("  ],\n");
+  std::printf("  \"paper_shape\": \"cached epoch faster than epoch 1 for "
+              "%d of %zu families%s%s%s\"\n}\n",
+              cached_faster, families.size(),
+              slower.empty() ? "" : " (not for ", slower.c_str(),
+              slower.empty() ? "" : ")");
   return 0;
 }

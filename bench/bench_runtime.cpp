@@ -3,7 +3,9 @@
 // The work-stealing runtime's two claims:
 //
 //   * Thread scaling — SpMM throughput, fused-epoch wall time, and serve
-//     QPS as the pool is resized across 1/2/4/8 lanes. On a multi-core
+//     QPS as the pool is resized across 1/2/4/8 lanes. Each measurement
+//     runs one warm-up pass, then kReps timed repetitions, and reports the
+//     median with its interquartile range (`*_iqr`). On a multi-core
 //     host SpMM should scale near-linearly until memory bandwidth wins;
 //     on a 1-core CI VM every width collapses to the caller lane and the
 //     rows document overhead, not speedup — `cores` is stamped into the
@@ -14,8 +16,9 @@
 //
 // Output is one JSON document on stdout — tools/run_benches.sh captures
 // it as BENCH_runtime.json for the PR-to-PR perf trajectory.
-#include <cstdio>
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <thread>
 #include <vector>
 
@@ -44,11 +47,36 @@ Coo random_coo(index_t rows, index_t cols, index_t nnz, Rng& rng) {
   return coo;
 }
 
+constexpr int kReps = 5;  // timed repetitions after one warm-up pass
+
+/// Median and interquartile range of repeated samples.
+struct Stat {
+  double median = 0.0;
+  double iqr = 0.0;
+};
+
+/// Runs sample() once to warm up, then kReps times; summarizes the timed
+/// samples (quartiles by linear interpolation).
+template <class F>
+Stat repeat(F&& sample) {
+  sample();
+  std::vector<double> xs;
+  for (int i = 0; i < kReps; ++i) xs.push_back(sample());
+  std::sort(xs.begin(), xs.end());
+  const auto quantile = [&](double q) {
+    const double pos = q * static_cast<double>(xs.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, xs.size() - 1);
+    return xs[lo] + (xs[hi] - xs[lo]) * (pos - static_cast<double>(lo));
+  };
+  return {quantile(0.5), quantile(0.75) - quantile(0.25)};
+}
+
 struct ScalingRow {
   int width = 1;
-  double spmm_gflops = 0.0;    // tiled-parallel CSR kernel
-  double fused_epoch_s = 0.0;  // mean epoch, fused TransE training
-  double serve_qps = 0.0;      // score() batches per second, one leader
+  Stat spmm_gflops;    // tiled-parallel CSR kernel
+  Stat fused_epoch_s;  // mean epoch, fused TransE training
+  Stat serve_qps;      // score() batches per second, one leader
 };
 
 std::vector<Triplet> make_queries(const kg::Dataset& ds, std::size_t count,
@@ -89,15 +117,17 @@ ScalingRow run_width(int width, const Csr& a, const Matrix& x, Matrix& c,
   ScalingRow row;
   row.width = width;
 
-  {  // SpMM: the tiled-parallel kernel drives runtime::parallel_for.
+  // SpMM: the tiled-parallel kernel drives runtime::parallel_for.
+  row.spmm_gflops = repeat([&] {
     const auto t0 = profiling::clock::now();
     for (int i = 0; i < spmm_iters; ++i)
       spmm_csr_into(a, x, c, SpmmKernel::kTiledParallel);
     const double s = profiling::seconds_since(t0);
-    row.spmm_gflops = 2.0 * static_cast<double>(a.nnz()) *
-                      static_cast<double>(x.cols()) * spmm_iters / s / 1e9;
-  }
-  {  // Fused epoch: fresh replica per width, same seed → same trajectory.
+    return 2.0 * static_cast<double>(a.nnz()) *
+           static_cast<double>(x.cols()) * spmm_iters / s / 1e9;
+  });
+  // Fused epoch: fresh replica per sample, same seed → same trajectory.
+  row.fused_epoch_s = repeat([&] {
     Rng rng(7);
     auto model = models::make_sparse_model(
         "TransE", ds.num_entities(), ds.num_relations(),
@@ -111,15 +141,15 @@ ScalingRow run_width(int width, const Csr& a, const Matrix& x, Matrix& c,
     tc.epochs = bench::epochs(2);
     tc.batch_size = 8192;
     const auto r = train::train(*model, ds.train, tc);
-    row.fused_epoch_s =
-        r.epoch_seconds.empty()
-            ? 0.0
-            : r.total_seconds / static_cast<double>(r.epoch_seconds.size());
-  }
-  {  // Serve: one leader thread scoring through the micro-batcher.
-    auto session = engine.open_session({});
-    row.serve_qps = measure_serve_qps(*session, stream, 400);
-  }
+    return r.epoch_seconds.empty()
+               ? 0.0
+               : r.total_seconds /
+                     static_cast<double>(r.epoch_seconds.size());
+  });
+  // Serve: one leader thread scoring through the micro-batcher.
+  auto session = engine.open_session({});
+  row.serve_qps =
+      repeat([&] { return measure_serve_qps(*session, stream, 400); });
   return row;
 }
 
@@ -233,6 +263,7 @@ int main() {
               "\"iters\": %d},\n",
               static_cast<long long>(a.rows),
               static_cast<long long>(a.nnz()), 64LL, spmm_iters);
+  std::printf("  \"reps\": %d,\n", kReps);
 
   std::printf("  \"thread_scaling\": [\n");
   const std::vector<int> widths = {1, 2, 4, 8};
@@ -240,8 +271,12 @@ int main() {
     const ScalingRow row =
         run_width(widths[i], a, x, c, spmm_iters, ds, engine, stream);
     std::printf("    {\"threads\": %d, \"spmm_gflops\": %.3f, "
-                "\"fused_epoch_s\": %.6f, \"serve_qps\": %.1f}%s\n",
-                row.width, row.spmm_gflops, row.fused_epoch_s, row.serve_qps,
+                "\"spmm_gflops_iqr\": %.3f, \"fused_epoch_s\": %.6f, "
+                "\"fused_epoch_s_iqr\": %.6f, \"serve_qps\": %.1f, "
+                "\"serve_qps_iqr\": %.1f}%s\n",
+                row.width, row.spmm_gflops.median, row.spmm_gflops.iqr,
+                row.fused_epoch_s.median, row.fused_epoch_s.iqr,
+                row.serve_qps.median, row.serve_qps.iqr,
                 i + 1 < widths.size() ? "," : "");
     std::fflush(stdout);
   }

@@ -1,11 +1,13 @@
 // Runtime CPU feature detection for the SIMD kernel dispatch.
 //
-// The SpMM engine compiles AVX2/FMA kernels unconditionally (via per-function
-// target attributes) and selects them at runtime from cpuid, so a portable
-// -DSPTX_NATIVE=OFF binary still runs the vector kernels on capable hardware
-// and falls back to scalar code everywhere else. The SPTX_NO_SIMD registry
-// knob forces the scalar path (used by the kernel-equivalence tests to cover
-// both sides of the dispatch on one machine).
+// The AVX2/FMA kernels are compiled unconditionally and selected at runtime
+// from cpuid, so a portable -DSPTX_NATIVE=OFF binary still runs them on
+// capable hardware and falls back to scalar code everywhere else: the SpMM
+// engine through per-function target attributes, the simd:: row primitives
+// and fused kernels as the W=8 copy of a body written once against Vec<W>
+// (vec.hpp), with a W=1 copy beside it. The SPTX_NO_SIMD registry knob
+// forces the scalar path / W=1 (used by the kernel-equivalence and fused
+// tests to cover both widths on one machine).
 #pragma once
 
 #include "src/common/runtime_config.hpp"

@@ -1,230 +1,56 @@
 // Vectorized row primitives — the axpy core shared by the dense layer.
 //
-// Each primitive has an AVX2/FMA implementation (compiled via a per-function
-// target attribute, so it exists even in portable builds) and a scalar
-// fallback; the public wrappers dispatch once per call on the cached cpuid
-// probe in cpu_features.hpp. The SpMM engine keeps its own fused kernels in
-// spmm.cpp (they need whole-row register blocking); these helpers serve the
-// elementwise hot paths: optimizer axpy, Matrix arithmetic, and row
-// normalization.
+// Each primitive is written once in simd_rows.inc against the Vec<W> layer
+// (vec.hpp) and compiled at two lane widths: W=8 inside an AVX2+FMA target
+// region (so it exists even in portable builds) and W=1. The public
+// functions below pick the width per call from the cached cpuid probe and
+// the SPTX_NO_SIMD knob (simd_enabled()). The SpMM engine keeps its own
+// register-blocked kernels in spmm.cpp; these helpers serve the elementwise
+// hot paths: optimizer axpy, Matrix arithmetic, and row normalization.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 
-#include "src/common/cpu_features.hpp"
-
-#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
-#define SPTX_SIMD_X86 1
-#include <immintrin.h>
-#define SPTX_TARGET_AVX2 __attribute__((target("avx2,fma")))
-#else
-#define SPTX_TARGET_AVX2
-#endif
+#include "src/common/vec.hpp"
 
 namespace sptx::simd {
 
-namespace detail {
-
-inline float sqnorm_scalar(const float* x, std::int64_t d) {
-  float acc = 0.0f;
-  for (std::int64_t j = 0; j < d; ++j) acc += x[j] * x[j];
-  return acc;
-}
-
-inline void scale_scalar(float* x, std::int64_t d, float s) {
-  for (std::int64_t j = 0; j < d; ++j) x[j] *= s;
-}
-
-inline void axpy_scalar(float* __restrict y, const float* __restrict x,
-                        float a, std::int64_t d) {
-  for (std::int64_t j = 0; j < d; ++j) y[j] += a * x[j];
-}
-
-inline void add_scalar(float* __restrict y, const float* __restrict x,
-                       std::int64_t d) {
-  for (std::int64_t j = 0; j < d; ++j) y[j] += x[j];
-}
-
-inline void sub_scalar(float* __restrict y, const float* __restrict x,
-                       std::int64_t d) {
-  for (std::int64_t j = 0; j < d; ++j) y[j] -= x[j];
-}
-
-inline void mul_scalar(float* __restrict y, const float* __restrict x,
-                       std::int64_t d) {
-  for (std::int64_t j = 0; j < d; ++j) y[j] *= x[j];
-}
-
-inline float dot_scalar(const float* a, const float* b, std::int64_t d) {
-  float acc = 0.0f;
-  for (std::int64_t j = 0; j < d; ++j) acc += a[j] * b[j];
-  return acc;
-}
-
-#ifdef SPTX_SIMD_X86
-
-SPTX_TARGET_AVX2 inline float hsum(__m256 v) {
-  const __m128 lo = _mm256_castps256_ps128(v);
-  const __m128 hi = _mm256_extractf128_ps(v, 1);
-  __m128 s = _mm_add_ps(lo, hi);
-  s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-  s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
-  return _mm_cvtss_f32(s);
-}
-
-SPTX_TARGET_AVX2 inline float sqnorm_avx2(const float* x, std::int64_t d) {
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
-  std::int64_t j = 0;
-  for (; j + 16 <= d; j += 16) {
-    const __m256 a = _mm256_loadu_ps(x + j);
-    const __m256 b = _mm256_loadu_ps(x + j + 8);
-    acc0 = _mm256_fmadd_ps(a, a, acc0);
-    acc1 = _mm256_fmadd_ps(b, b, acc1);
-  }
-  for (; j + 8 <= d; j += 8) {
-    const __m256 a = _mm256_loadu_ps(x + j);
-    acc0 = _mm256_fmadd_ps(a, a, acc0);
-  }
-  float acc = hsum(_mm256_add_ps(acc0, acc1));
-  for (; j < d; ++j) acc += x[j] * x[j];
-  return acc;
-}
-
-SPTX_TARGET_AVX2 inline void scale_avx2(float* x, std::int64_t d, float s) {
-  const __m256 vs = _mm256_set1_ps(s);
-  std::int64_t j = 0;
-  for (; j + 8 <= d; j += 8) {
-    _mm256_storeu_ps(x + j, _mm256_mul_ps(_mm256_loadu_ps(x + j), vs));
-  }
-  for (; j < d; ++j) x[j] *= s;
-}
-
-SPTX_TARGET_AVX2 inline void axpy_avx2(float* __restrict y,
-                                       const float* __restrict x, float a,
-                                       std::int64_t d) {
-  const __m256 va = _mm256_set1_ps(a);
-  std::int64_t j = 0;
-  for (; j + 8 <= d; j += 8) {
-    const __m256 vy =
-        _mm256_fmadd_ps(_mm256_loadu_ps(x + j), va, _mm256_loadu_ps(y + j));
-    _mm256_storeu_ps(y + j, vy);
-  }
-  for (; j < d; ++j) y[j] += a * x[j];
-}
-
-SPTX_TARGET_AVX2 inline void add_avx2(float* __restrict y,
-                                      const float* __restrict x,
-                                      std::int64_t d) {
-  std::int64_t j = 0;
-  for (; j + 8 <= d; j += 8) {
-    _mm256_storeu_ps(
-        y + j, _mm256_add_ps(_mm256_loadu_ps(y + j), _mm256_loadu_ps(x + j)));
-  }
-  for (; j < d; ++j) y[j] += x[j];
-}
-
-SPTX_TARGET_AVX2 inline void sub_avx2(float* __restrict y,
-                                      const float* __restrict x,
-                                      std::int64_t d) {
-  std::int64_t j = 0;
-  for (; j + 8 <= d; j += 8) {
-    _mm256_storeu_ps(
-        y + j, _mm256_sub_ps(_mm256_loadu_ps(y + j), _mm256_loadu_ps(x + j)));
-  }
-  for (; j < d; ++j) y[j] -= x[j];
-}
-
-SPTX_TARGET_AVX2 inline void mul_avx2(float* __restrict y,
-                                      const float* __restrict x,
-                                      std::int64_t d) {
-  std::int64_t j = 0;
-  for (; j + 8 <= d; j += 8) {
-    _mm256_storeu_ps(
-        y + j, _mm256_mul_ps(_mm256_loadu_ps(y + j), _mm256_loadu_ps(x + j)));
-  }
-  for (; j < d; ++j) y[j] *= x[j];
-}
-
-SPTX_TARGET_AVX2 inline float dot_avx2(const float* a, const float* b,
-                                       std::int64_t d) {
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
-  std::int64_t j = 0;
-  for (; j + 16 <= d; j += 16) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + j), _mm256_loadu_ps(b + j),
-                           acc0);
-    acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(a + j + 8),
-                           _mm256_loadu_ps(b + j + 8), acc1);
-  }
-  for (; j + 8 <= d; j += 8) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + j), _mm256_loadu_ps(b + j),
-                           acc0);
-  }
-  float acc = hsum(_mm256_add_ps(acc0, acc1));
-  for (; j < d; ++j) acc += a[j] * b[j];
-  return acc;
-}
-
-#endif  // SPTX_SIMD_X86
-
-}  // namespace detail
+#define SPTX_WIDTH_INC "src/common/simd_rows.inc"
+#include "src/common/foreach_width.inc"
 
 /// Σ x[j]² over d contiguous floats.
 inline float squared_norm(const float* x, std::int64_t d) {
-#ifdef SPTX_SIMD_X86
-  if (simd_enabled()) return detail::sqnorm_avx2(x, d);
-#endif
-  return detail::sqnorm_scalar(x, d);
+  return SPTX_BY_WIDTH(squared_norm, x, d);
 }
 
 /// x *= s elementwise.
 inline void scale(float* x, std::int64_t d, float s) {
-#ifdef SPTX_SIMD_X86
-  if (simd_enabled()) return detail::scale_avx2(x, d, s);
-#endif
-  detail::scale_scalar(x, d, s);
+  SPTX_BY_WIDTH(scale, x, d, s);
 }
 
 /// y += a · x (the axpy core).
 inline void axpy(float* y, const float* x, float a, std::int64_t d) {
-#ifdef SPTX_SIMD_X86
-  if (simd_enabled()) return detail::axpy_avx2(y, x, a, d);
-#endif
-  detail::axpy_scalar(y, x, a, d);
+  SPTX_BY_WIDTH(axpy, y, x, a, d);
 }
 
 /// y += x.
 inline void add(float* y, const float* x, std::int64_t d) {
-#ifdef SPTX_SIMD_X86
-  if (simd_enabled()) return detail::add_avx2(y, x, d);
-#endif
-  detail::add_scalar(y, x, d);
+  SPTX_BY_WIDTH(add, y, x, d);
 }
 
 /// y -= x.
 inline void sub(float* y, const float* x, std::int64_t d) {
-#ifdef SPTX_SIMD_X86
-  if (simd_enabled()) return detail::sub_avx2(y, x, d);
-#endif
-  detail::sub_scalar(y, x, d);
+  SPTX_BY_WIDTH(sub, y, x, d);
 }
 
 /// y *= x elementwise.
 inline void mul(float* y, const float* x, std::int64_t d) {
-#ifdef SPTX_SIMD_X86
-  if (simd_enabled()) return detail::mul_avx2(y, x, d);
-#endif
-  detail::mul_scalar(y, x, d);
+  SPTX_BY_WIDTH(mul, y, x, d);
 }
 
 /// Σ a[j]·b[j].
 inline float dot(const float* a, const float* b, std::int64_t d) {
-#ifdef SPTX_SIMD_X86
-  if (simd_enabled()) return detail::dot_avx2(a, b, d);
-#endif
-  return detail::dot_scalar(a, b, d);
+  return SPTX_BY_WIDTH(dot, a, b, d);
 }
 
 }  // namespace sptx::simd

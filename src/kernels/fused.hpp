@@ -12,9 +12,10 @@
 // sub_backward / embedding_backward_scatter nodes, no intermediate Matrix
 // allocations; the only scratch is a Workspace-pooled row buffer).
 //
-// Everything is AVX2/FMA with a scalar fallback, dispatched at runtime per
-// batch via the same cpuid probe as the SpMM engine (cpu_features.hpp;
-// SPTX_NO_SIMD forces scalar). The models layer wires these in behind the
+// Each kernel is written once against the Vec<W> layer and compiled at two
+// lane widths, W=8 (AVX2/FMA) and W=1; the width is picked at runtime once
+// per batch via the same cpuid probe as the SpMM engine (cpu_features.hpp;
+// SPTX_NO_SIMD forces W=1). The models layer wires these in behind the
 // SPTX_FUSED registry knob: `off` keeps the legacy autograd graph (bit
 // identical to the historical path), `auto`/`on` use the fused kernels for
 // every family that provides them.

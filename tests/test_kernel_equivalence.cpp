@@ -3,16 +3,19 @@
 // (direct scatter, cached-transpose gather) must agree within 1e-5 on
 // randomized inputs — including empty rows, dims not divisible by the SIMD
 // width, single-row matrices, and ±1-only incidence matrices that take the
-// fused register paths. CMake registers this binary twice: once as-is and
-// once with SPTX_NO_SIMD=1 so both sides of the runtime cpuid dispatch are
-// covered on one machine.
+// fused register paths. The simd:: row primitives are checked against a
+// double-precision reference at lengths that straddle their loops. CMake
+// registers this binary twice: once as-is and once with SPTX_NO_SIMD=1 so
+// both lane widths (W=8 and W=1) are covered on one machine.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <vector>
 
 #include "src/common/cpu_features.hpp"
 #include "src/common/rng.hpp"
+#include "src/common/simd.hpp"
 #include "src/sparse/incidence.hpp"
 #include "src/sparse/spmm.hpp"
 
@@ -220,6 +223,50 @@ TEST(KernelEquivalence, AutoEnvOverrideForcesKernel) {
   unsetenv("SPTX_SPMM_KERNEL");
   config::install(RuntimeConfig::from_env());
   EXPECT_NE(spmm_auto_kernel(a, 128), SpmmKernel::kAuto);
+}
+
+// Lengths cover the 16-wide two-accumulator loop of dot/squared_norm, the
+// 8-wide loop and the scalar tail (and, at W=1, plain scalar loops).
+TEST(KernelEquivalence, SimdRowPrimitivesMatchDoubleReference) {
+  Rng rng(45);
+  for (index_t d : {1, 7, 8, 15, 16, 17, 67}) {
+    std::vector<float> x(static_cast<std::size_t>(d));
+    std::vector<float> y(x.size());
+    for (auto& v : x) v = rng.uniform(-2.0f, 2.0f);
+    for (auto& v : y) v = rng.uniform(-2.0f, 2.0f);
+    double sq = 0.0, dt = 0.0, mag = 0.0;
+    for (std::size_t j = 0; j < x.size(); ++j) {
+      sq += double(x[j]) * x[j];
+      dt += double(x[j]) * y[j];
+      mag += std::fabs(double(x[j]) * y[j]);
+    }
+    // Reductions: float accumulation error is bounded by d·ε·Σ|terms|.
+    const double red_tol = 1e-6 * static_cast<double>(d);
+    EXPECT_NEAR(simd::squared_norm(x.data(), d), sq, red_tol * sq) << d;
+    EXPECT_NEAR(simd::dot(x.data(), y.data(), d), dt, red_tol * mag) << d;
+
+    // Elementwise ops: one rounding per element.
+    constexpr float kA = 0.37f, kS = -1.3f;
+    const auto check = [&](const char* op, auto&& run, auto&& want) {
+      std::vector<float> out = y;
+      run(out.data());
+      for (std::size_t j = 0; j < out.size(); ++j) {
+        const double w = want(j);
+        EXPECT_NEAR(out[j], w, 1e-6 * (1.0 + std::fabs(w)))
+            << op << " d=" << d << " j=" << j;
+      }
+    };
+    check("axpy", [&](float* o) { simd::axpy(o, x.data(), kA, d); },
+          [&](std::size_t j) { return y[j] + double(kA) * x[j]; });
+    check("scale", [&](float* o) { simd::scale(o, d, kS); },
+          [&](std::size_t j) { return double(kS) * y[j]; });
+    check("add", [&](float* o) { simd::add(o, x.data(), d); },
+          [&](std::size_t j) { return double(y[j]) + x[j]; });
+    check("sub", [&](float* o) { simd::sub(o, x.data(), d); },
+          [&](std::size_t j) { return double(y[j]) - x[j]; });
+    check("mul", [&](float* o) { simd::mul(o, x.data(), d); },
+          [&](std::size_t j) { return double(y[j]) * x[j]; });
+  }
 }
 
 TEST(KernelEquivalence, UnitValueCacheDetectsIncidence) {

@@ -280,6 +280,35 @@ class IncludeLayersRule(unittest.TestCase):
         self.assertIn("no layer assignment", found[0])
 
 
+class SimdIntrinsicsRule(unittest.TestCase):
+    def test_flags_intrinsics_outside_vec_layer(self):
+        files = {
+            "src/kernels/fused.cpp":
+                "SPTX_TARGET_AVX2 inline float f(const float* p) {\n"
+                "  return _mm256_cvtss_f32(_mm256_loadu_ps(p));\n}\n",
+            "src/common/rows.inc": "inline __m256 g(__m256 v);\n",
+        }
+        with FixtureTree(files) as root:
+            found = lint(root, "simd-intrinsics")
+        self.assertEqual(len(found), 3)
+        self.assertTrue(all("simd-intrinsics" in v for v in found))
+        self.assertTrue(any("rows.inc" in v for v in found))
+
+    def test_vec_layer_spmm_comments_and_lookalikes_are_clean(self):
+        files = {
+            "src/common/vec.hpp":
+                "#define SPTX_TARGET_AVX2 __attribute__((target(\"avx2\")))\n"
+                "struct V { __m256 v; };\n",
+            "src/sparse/spmm.cpp":
+                "SPTX_TARGET_AVX2 void k() { _mm256_setzero_ps(); }\n",
+            "src/kernels/fused.inc":
+                "// was _mm256_fmadd_ps before the Vec<W> layer\n"
+                "int comm_mm = 0; float x_mm256 = 1;\n",
+        }
+        with FixtureTree(files) as root:
+            self.assertEqual(lint(root, "simd-intrinsics"), [])
+
+
 class RealTree(unittest.TestCase):
     def test_actual_repo_is_clean(self):
         root = os.path.join(os.path.dirname(os.path.abspath(__file__)),

@@ -26,10 +26,12 @@
 #                        1 vs 4 threads, micro-batch coalescing off vs on
 #   BENCH_fused.json     bench_fused: fused (SPTX_FUSED=on) vs autograd
 #                        (off) per-epoch training time for TransE / TransR /
-#                        TorusE on the Fig-2 workload
+#                        TorusE on the Fig-2 workload, at each kernel lane
+#                        width ("simd": "avx2" | "scalar")
 #   BENCH_runtime.json   bench_runtime: TaskPool thread scaling (SpMM /
-#                        fused epoch / serve QPS at 1-8 lanes) + composed
-#                        train+serve on the shared pool
+#                        fused epoch / serve QPS at 1-8 lanes, median and
+#                        IQR of repeated samples) + composed train+serve on
+#                        the shared pool
 #
 # Knobs: SPTX_BENCH_MIN_TIME (per-benchmark min time, default 0.2s),
 # SPTX_EPOCHS / SPTX_SCALE forwarded to the hotspot bench as usual.

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """sptx_lint — repo-invariant checker for the SparseTransX tree.
 
-Eight rules, each guarding a discipline the codebase relies on but no
+Nine rules, each guarding a discipline the codebase relies on but no
 compiler enforces:
 
   env-getenv      std::getenv("SPTX_...") appears only in
@@ -35,6 +35,12 @@ compiler enforces:
                   sideways or down, never up (common -> kg -> profiling ->
                   tensor/runtime -> sparse -> autograd/kernels -> nn ->
                   baseline/models -> train/eval/distributed/serve -> api).
+  simd-intrinsics x86 intrinsics (_mm*, __m128/__m256/__m512) and the
+                  SPTX_TARGET_AVX2 attribute appear only in
+                  src/common/vec.hpp and src/sparse/spmm.cpp — every other
+                  row primitive is written once against Vec<W> and compiled
+                  per lane width by foreach_width.inc, so per-ISA copies
+                  cannot creep back.
 
 Exit status 0 when the tree is clean; 1 with one "file:line: rule: message"
 diagnostic per violation otherwise. Registered as the `sptx_lint` ctest and
@@ -79,7 +85,13 @@ CHECKPOINT_PREFIXES = (
     os.path.join("src", "distributed") + os.sep,
 )
 
-SOURCE_EXTS = (".cpp", ".hpp", ".h", ".cc")
+SOURCE_EXTS = (".cpp", ".hpp", ".h", ".cc", ".inc")
+
+# The only files allowed to spell x86 intrinsics (rule simd-intrinsics).
+SIMD_INTRINSIC_FILES = (
+    os.path.join("src", "common", "vec.hpp"),
+    os.path.join("src", "sparse", "spmm.cpp"),
+)
 
 
 def strip_comments(text):
@@ -374,6 +386,26 @@ class Linter:
                         f"'src/{target}' (layer {LAYERS[target]}) — "
                         "includes must point sideways or down the layering")
 
+    # -- rule: simd-intrinsics ----------------------------------------------
+
+    def check_simd_intrinsics(self):
+        pattern = re.compile(
+            r"\b(_mm\w*|__m(?:128|256|512)\w*|SPTX_TARGET_AVX2)\b")
+        for path in iter_source_files(self.root):
+            rel = os.path.relpath(path, self.root)
+            if rel in SIMD_INTRINSIC_FILES:
+                continue
+            for lineno, line in enumerate(
+                    strip_comments(read(path)).splitlines(), 1):
+                m = pattern.search(line)
+                if m:
+                    self.report(
+                        path, lineno, "simd-intrinsics",
+                        f"'{m.group(1)}' outside src/common/vec.hpp and "
+                        "src/sparse/spmm.cpp — write the primitive once "
+                        "against Vec<W> in an .inc compiled by "
+                        "foreach_width.inc")
+
     def run(self, rules=None):
         checks = {
             "env-getenv": self.check_getenv,
@@ -384,6 +416,7 @@ class Linter:
             "raw-threads": self.check_raw_threads,
             "process-control": self.check_process_control,
             "include-layers": self.check_layers,
+            "simd-intrinsics": self.check_simd_intrinsics,
         }
         for name, check in checks.items():
             if rules and name not in rules:
