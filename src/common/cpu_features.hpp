@@ -1,13 +1,9 @@
 // Runtime CPU feature detection for the SIMD kernel dispatch.
 //
 // The AVX2/FMA kernels are compiled unconditionally and selected at runtime
-// from cpuid, so a portable -DSPTX_NATIVE=OFF binary still runs them on
-// capable hardware and falls back to scalar code everywhere else: the SpMM
-// engine through per-function target attributes, the simd:: row primitives
-// and fused kernels as the W=8 copy of a body written once against Vec<W>
-// (vec.hpp), with a W=1 copy beside it. The SPTX_NO_SIMD registry knob
-// forces the scalar path / W=1 (used by the kernel-equivalence and fused
-// tests to cover both widths on one machine).
+// from cpuid: the SpMM engine's through per-function target attributes,
+// every other row kernel as the W=8 copy of a width-generic body (see
+// vec.hpp). simd_enabled() is the one switch; SPTX_NO_SIMD turns it off.
 #pragma once
 
 #include "src/common/runtime_config.hpp"

@@ -16,8 +16,9 @@ namespace {
 // library reads it, and nothing else in the tree calls getenv for SPTX_*.
 constexpr ConfigSpec kSpecs[] = {
     {"SPTX_NO_SIMD", ConfigType::kFlag, "0",
-     "Force the scalar SpMM kernels even when cpuid reports AVX2+FMA "
-     "(kernel-equivalence testing, perf triage)."},
+     "Force the scalar (W=1) kernels: SpMM, fused and simd:: row "
+     "primitives, even when cpuid reports AVX2+FMA (kernel-equivalence "
+     "testing, perf triage)."},
     {"SPTX_SPMM_KERNEL", ConfigType::kEnum, "auto",
      "Force a forward SpMM kernel instead of the per-call auto heuristic.",
      "auto|naive|unrolled|tiled|parallel|simd|tiled_parallel"},

@@ -1,12 +1,10 @@
 // Vectorized row primitives — the axpy core shared by the dense layer.
 //
-// Each primitive is written once in simd_rows.inc against the Vec<W> layer
-// (vec.hpp) and compiled at two lane widths: W=8 inside an AVX2+FMA target
-// region (so it exists even in portable builds) and W=1. The public
-// functions below pick the width per call from the cached cpuid probe and
-// the SPTX_NO_SIMD knob (simd_enabled()). The SpMM engine keeps its own
-// register-blocked kernels in spmm.cpp; these helpers serve the elementwise
-// hot paths: optimizer axpy, Matrix arithmetic, and row normalization.
+// Each primitive is written once in simd_rows.inc and compiled at both lane
+// widths (see vec.hpp); the public functions below pick the width per call.
+// The SpMM engine keeps its own register-blocked kernels in spmm.cpp; these
+// helpers serve the elementwise hot paths: optimizer axpy, Matrix
+// arithmetic, and row normalization.
 #pragma once
 
 #include <cstdint>

@@ -46,6 +46,15 @@
 #endif
 #define SPTX_AVX2_INLINE inline __attribute__((always_inline)) SPTX_TARGET_AVX2
 
+// Each width's target attribute, for what the region pragma does not
+// cover: clang's attribute pragma skips lambda call operators, so a lambda
+// in a width body spells its copy's target out as SPTX_WIDTH_ATTR, which
+// foreach_width.inc points at the matching entry here.
+#define SPTX_WIDTH_ATTR_1
+#ifdef SPTX_SIMD_X86
+#define SPTX_WIDTH_ATTR_8 SPTX_TARGET_AVX2
+#endif
+
 /// Calls the W=8 copy of `fn` when the AVX2 kernels may run, else the W=1
 /// copy. Expands in a scope that sees both width namespaces.
 #define SPTX_BY_WIDTH(fn, ...) \

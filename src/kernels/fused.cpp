@@ -2,10 +2,8 @@
 // in fused_transr.cpp — it needs the relation-grouped GEMM micro-kernels).
 //
 // The per-row primitives and the per-family batch loops are written once in
-// fused.inc against the Vec<W> layer (src/common/vec.hpp) and compiled at
-// two lane widths by foreach_width.inc: W=1 and W=8 (AVX2+FMA target
-// region). Each public entry point below picks the width once per batch
-// from simd_enabled() (cpuid plus the SPTX_NO_SIMD knob). The math and
+// fused.inc and compiled at both lane widths (see src/common/vec.hpp); each
+// public entry point below picks the width once per batch. The math and
 // epsilons mirror the autograd ops these kernels replace (see ops.cpp):
 // row_l2's 1e-12 clamp, row_l1's sign(0) = 0, the torus wraparound
 // derivative.

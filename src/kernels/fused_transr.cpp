@@ -18,8 +18,8 @@
 // pooled M × d_r matrix) so the backward never re-runs the forward GEMM.
 //
 // The micro-kernels and batch loops are written once in fused_transr.inc
-// against the Vec<W> layer and compiled at W=1 and W=8 (AVX2+FMA) by
-// foreach_width.inc; the entry points pick the width once per batch.
+// and compiled at both lane widths (see src/common/vec.hpp); the entry
+// points pick the width once per batch.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
