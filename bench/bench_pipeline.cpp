@@ -8,7 +8,8 @@
 // families twice:
 //
 //   * fixed-order (§5.3 protocol): reports epoch-1 wall time vs the mean
-//     cached-epoch wall time, and the cache/build counters that prove reuse;
+//     cached-epoch wall time, the cache/build counters that prove reuse,
+//     and the run's optimizer-step and post-step (renormalize) seconds;
 //   * shuffled + resampled: plans invalidate every epoch and epoch e+1
 //     compiles as a pool prefetch task overlapping epoch e; reports the
 //     run's total wall time.
@@ -31,6 +32,8 @@ struct PipelineRow {
   double epoch1_s = 0.0;
   double cached_epoch_s = 0.0;    // mean of epochs >= 2
   double shuffled_total_s = 0.0;  // total seconds, shuffled + resampled
+  double step_s = 0.0;            // fixed-order run: optimizer step
+  double post_step_s = 0.0;       // fixed-order run: model post_step
   std::int64_t plan_hits = 0;
   std::int64_t incidence_builds = 0;
 };
@@ -68,6 +71,8 @@ PipelineRow run_model(const std::string& name, const kg::Dataset& ds,
     row.cached_epoch_s = mean_tail(r.epoch_seconds);
     row.plan_hits = r.plan_stats.hits;
     row.incidence_builds = r.incidence_builds;
+    row.step_s = r.phases.step_s;
+    row.post_step_s = r.phases.post_step_s;
   }
   {  // Variant schedule: every epoch recompiles, prefetched one ahead.
     tc.shuffle = true;
@@ -110,10 +115,11 @@ int main() {
     std::printf(
         "    {\"model\": \"%s\", \"epoch1_s\": %.6f, \"cached_epoch_s\": "
         "%.6f, \"cached_speedup\": %.3f, \"shuffled_total_s\": %.6f, "
-        "\"plan_hits\": %lld, \"incidence_builds\": %lld}%s\n",
+        "\"step_s\": %.6f, \"post_step_s\": %.6f, \"plan_hits\": %lld, "
+        "\"incidence_builds\": %lld}%s\n",
         row.model.c_str(), row.epoch1_s, row.cached_epoch_s,
         row.cached_epoch_s > 0.0 ? row.epoch1_s / row.cached_epoch_s : 0.0,
-        row.shuffled_total_s,
+        row.shuffled_total_s, row.step_s, row.post_step_s,
         static_cast<long long>(row.plan_hits),
         static_cast<long long>(row.incidence_builds),
         i + 1 < families.size() ? "," : "");

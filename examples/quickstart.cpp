@@ -46,9 +46,11 @@ int main() {
       train::train(*model, dataset.train, tconfig, [](int epoch, float loss) {
         if (epoch % 10 == 0) std::printf("  epoch %3d  loss %.4f\n", epoch, loss);
       });
-  std::printf("trained in %.2fs (forward %.2fs, backward %.2fs, step %.2fs)\n",
+  std::printf("trained in %.2fs (forward %.2fs, backward %.2fs, step %.2fs, "
+              "post_step %.2fs)\n",
               result.total_seconds, result.phases.forward_s,
-              result.phases.backward_s, result.phases.step_s);
+              result.phases.backward_s, result.phases.step_s,
+              result.phases.post_step_s);
 
   // 4. Evaluate filtered link prediction on the held-out test split.
   eval::EvalConfig ec;

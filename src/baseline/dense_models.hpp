@@ -36,6 +36,7 @@ class DenseTransE final : public KgeModel {
                           std::span<const Triplet> neg) override;
   std::vector<float> score(std::span<const Triplet> batch) const override;
   std::vector<autograd::Variable> params() override;
+  using KgeModel::post_step;  // the row-list overload runs post_step()
   void post_step() override;
 
   autograd::Variable distance(std::span<const Triplet> batch);
@@ -54,6 +55,7 @@ class DenseTransR final : public KgeModel {
                           std::span<const Triplet> neg) override;
   std::vector<float> score(std::span<const Triplet> batch) const override;
   std::vector<autograd::Variable> params() override;
+  using KgeModel::post_step;  // the row-list overload runs post_step()
   void post_step() override;
 
   autograd::Variable distance(std::span<const Triplet> batch);
@@ -73,6 +75,7 @@ class DenseTransH final : public KgeModel {
                           std::span<const Triplet> neg) override;
   std::vector<float> score(std::span<const Triplet> batch) const override;
   std::vector<autograd::Variable> params() override;
+  using KgeModel::post_step;  // the row-list overload runs post_step()
   void post_step() override;
 
   autograd::Variable distance(std::span<const Triplet> batch);
@@ -94,6 +97,7 @@ class DenseTransD final : public KgeModel {
                           std::span<const Triplet> neg) override;
   std::vector<float> score(std::span<const Triplet> batch) const override;
   std::vector<autograd::Variable> params() override;
+  using KgeModel::post_step;  // the row-list overload runs post_step()
   void post_step() override;
 
   autograd::Variable distance(std::span<const Triplet> batch);

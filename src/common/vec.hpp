@@ -1,9 +1,9 @@
 // Lane-width vector layer for the row primitives.
 //
 // Vec<1> wraps one float and Vec<8> one __m256. Both expose the same
-// operations (load/store/set1/zero, + − ×, fma, abs, sign_mul, floor,
-// lt/select, hsum), so a primitive written once against Vec<W> compiles at
-// either width. The width-generic bodies live in .inc files that
+// operations (load/store/set1/zero, + − × ÷, fma, sqrt, abs, sign_mul,
+// floor, lt/select, hsum), so a primitive written once against Vec<W>
+// compiles at either width. The width-generic bodies live in .inc files that
 // foreach_width.inc compiles twice — W=1 in a plain namespace, W=8 inside an
 // AVX2+FMA target region — and SPTX_BY_WIDTH picks a copy from
 // simd_enabled(), so a portable -DSPTX_NATIVE=OFF binary still runs the
@@ -77,10 +77,12 @@ struct Vec<1> {
   SPTX_INLINE friend Vec operator+(Vec a, Vec b) { return {a.v + b.v}; }
   SPTX_INLINE friend Vec operator-(Vec a, Vec b) { return {a.v - b.v}; }
   SPTX_INLINE friend Vec operator*(Vec a, Vec b) { return {a.v * b.v}; }
+  SPTX_INLINE friend Vec operator/(Vec a, Vec b) { return {a.v / b.v}; }
   /// a·b + c.
   SPTX_INLINE friend Vec fma(Vec a, Vec b, Vec c) {
     return {a.v * b.v + c.v};
   }
+  SPTX_INLINE friend Vec sqrt(Vec a) { return {std::sqrt(a.v)}; }
   SPTX_INLINE friend Vec abs(Vec a) { return {std::fabs(a.v)}; }
   SPTX_INLINE friend Vec floor(Vec a) { return {std::floor(a.v)}; }
   /// s·sign(x), sign(0) = 0.
@@ -117,9 +119,13 @@ struct Vec<8> {
   SPTX_AVX2_INLINE friend Vec operator*(Vec a, Vec b) {
     return {_mm256_mul_ps(a.v, b.v)};
   }
+  SPTX_AVX2_INLINE friend Vec operator/(Vec a, Vec b) {
+    return {_mm256_div_ps(a.v, b.v)};
+  }
   SPTX_AVX2_INLINE friend Vec fma(Vec a, Vec b, Vec c) {
     return {_mm256_fmadd_ps(a.v, b.v, c.v)};
   }
+  SPTX_AVX2_INLINE friend Vec sqrt(Vec a) { return {_mm256_sqrt_ps(a.v)}; }
   SPTX_AVX2_INLINE friend Vec abs(Vec a) {
     return {_mm256_andnot_ps(_mm256_set1_ps(-0.0f), a.v)};
   }

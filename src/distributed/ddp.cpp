@@ -147,7 +147,8 @@ class ThreadExecutor final : public ShardExecutor {
   void step(DdpRun& run, int /*epoch*/, const Batch& /*batch*/,
             const StepRows& support) override {
     for (std::size_t w = 1; w < replicas_.size(); ++w)
-      step_replica(replicas_[w], run.master.params, support, run.config.lr);
+      step_replica(replicas_[w], run.master.params, support, run.config.lr,
+                   /*clear=*/false);
   }
 
   void finish(DdpRun& run) override {

@@ -148,7 +148,7 @@ DdpResult run_ddp(
       // Every replica steps with the same reduced gradient over the batch's
       // touched rows; the backend's go first, while the master's buffers
       // still hold it.
-      const StepRows support(run.master, batch.pos, batch.neg);
+      const StepRows support = step_rows(run.master, batch.pos, batch.neg);
       exec.step(run, epoch, batch, support);
       step_and_clear(run.master, support, config.lr);
 

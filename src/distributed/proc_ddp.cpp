@@ -327,7 +327,7 @@ bool worker_run_epoch(Conn& conn, Mutex& send_mu, Replica& rep,
       conn.send(FrameType::kShardGrad, payload, setup.heartbeat_ms * 4);
     }
     // Derived while the supervisor reduces, off the critical path.
-    const StepRows support(rep, batch.pos, batch.neg);
+    const StepRows support = step_rows(rep, batch.pos, batch.neg);
     // Barrier: the reduced gradient for this batch.
     Frame frame;
     SPTX_CHECK_CODE(conn.recv(frame, kStepWaitMs), ErrorCode::kTransportError,

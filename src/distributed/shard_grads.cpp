@@ -4,9 +4,8 @@
 #include <cstring>
 
 #include "src/common/error.hpp"
-#include "src/common/simd.hpp"
 #include "src/kg/negative_sampler.hpp"
-#include "src/sparse/incidence.hpp"
+#include "src/nn/optim.hpp"
 
 namespace sptx::distributed {
 
@@ -96,7 +95,7 @@ float compute_shard(Replica& rep, const Batch& batch, index_t s,
   // so only those rows travel — that is what makes the all-reduce sparse.
   // Built aside and moved out last: a throw leaves `out` empty, so the
   // driver recomputes the shard instead of reducing half a harvest.
-  const StepRows support(rep, pos, neg);
+  const StepRows support = step_rows(rep, pos, neg);
   ShardGrads harvested(rep.params.size());
   for (std::size_t i = 0; i < rep.params.size(); ++i) {
     ParamGrad& pg = harvested[i];
@@ -119,98 +118,38 @@ float compute_shard(Replica& rep, const Batch& batch, index_t s,
     }
   }
 
-  // One-time (per replica) safety net for param_index_spaces(): after the
-  // first harvest every gradient buffer must be identically zero — a
-  // residue means the loss touched rows outside the declared index space
-  // (e.g. a full-table regulariser on an entity-shaped parameter), and the
-  // sparse all-reduce would silently drop and cross-contaminate gradient.
+  // One-time (per replica) safety net for param_index_spaces(): a residue
+  // here would make the sparse all-reduce silently drop and
+  // cross-contaminate gradient.
   if (!rep.support_verified) {
-    for (std::size_t i = 0; i < rep.params.size(); ++i)
-      SPTX_CHECK(rep.params[i].grad().max_abs() == 0.0f,
-                 rep.model->name()
-                     << " parameter " << i
-                     << " has gradient outside its declared ParamIndexSpace "
-                        "row support; override param_index_spaces() (kDense "
-                        "is always safe)");
+    models::check_support_cleared(rep.params, rep.model->name());
     rep.support_verified = true;
   }
   out = std::move(harvested);
   return loss.value().at(0, 0) * weight;
 }
 
-StepRows::StepRows(Replica& rep, std::span<const Triplet> pos,
+StepRows step_rows(const Replica& rep, std::span<const Triplet> pos,
                    std::span<const Triplet> neg) {
-  ents = touched_entity_ids(pos, neg);
-  rels = touched_relation_ids(pos, neg);
-  blocks.resize(rep.params.size());
-  rows.resize(rep.params.size(), nullptr);
-  for (std::size_t i = 0; i < rep.params.size(); ++i) {
-    switch (rep.spaces[i]) {
-      case models::ParamIndexSpace::kDense:
-        break;  // rows[i] stays nullptr
-      case models::ParamIndexSpace::kEntity:
-        rows[i] = &ents;
-        break;
-      case models::ParamIndexSpace::kRelation:
-        rows[i] = &rels;
-        break;
-      case models::ParamIndexSpace::kRelationBlocks: {
-        // Relation r owns rows [r·h, (r+1)·h), h = rows / R; sorted in,
-        // sorted out.
-        const index_t param_rows = rep.params[i].grad().rows();
-        SPTX_CHECK(rep.num_relations > 0 &&
-                       param_rows % rep.num_relations == 0,
-                   "kRelationBlocks parameter rows ("
-                       << param_rows << ") not divisible by relation count "
-                       << rep.num_relations);
-        const index_t h = param_rows / rep.num_relations;
-        blocks[i].reserve(rels.size() * static_cast<std::size_t>(h));
-        for (index_t r : rels)
-          for (index_t k = 0; k < h; ++k) blocks[i].push_back(r * h + k);
-        rows[i] = &blocks[i];
-        break;
-      }
-      default:
-        // Stacked [E; R] table. Entity ids all precede N ≤ N + relation id,
-        // so the concatenation of the two sorted lists is itself sorted.
-        if (stacked.empty()) {
-          stacked = ents;
-          for (index_t r : rels) stacked.push_back(rep.num_entities + r);
-        }
-        rows[i] = &stacked;
-        break;
-    }
-  }
+  return StepRows(rep.params, rep.spaces, rep.num_entities, rep.num_relations,
+                  pos, neg);
 }
 
 void step_replica(Replica& rep, std::vector<autograd::Variable>& grads,
-                  const StepRows& support, float lr) {
-  for (std::size_t i = 0; i < rep.params.size(); ++i) {
-    const Matrix& g = grads[i].grad();
-    Matrix& v = rep.params[i].mutable_value();
-    if (support.rows[i] == nullptr) {
-      v.axpy_(-lr, g);
-      continue;
-    }
-    const index_t cols = g.cols();
-    for (index_t row : *support.rows[i])
-      simd::axpy(v.row(row), g.row(row), -lr, cols);
+                  const StepRows& support, float lr, bool clear) {
+  for (std::size_t i = 0; i < rep.params.size(); ++i)
+    nn::sgd_rows(rep.params[i].mutable_value(), grads[i].grad(),
+                 support.rows[i], lr, clear);
+  if (rep.constrained) {
+    rep.model->post_step(support);
+  } else {
+    rep.model->post_step();
+    rep.constrained = true;
   }
-  rep.model->post_step();
 }
 
 void step_and_clear(Replica& rep, const StepRows& support, float lr) {
-  step_replica(rep, rep.params, support, lr);
-  for (std::size_t i = 0; i < rep.params.size(); ++i) {
-    Matrix& g = rep.params[i].grad();
-    if (support.rows[i] == nullptr) {
-      g.zero();
-      continue;
-    }
-    for (index_t row : *support.rows[i])
-      std::memset(g.row(row), 0,
-                  static_cast<std::size_t>(g.cols()) * sizeof(float));
-  }
+  step_replica(rep, rep.params, support, lr, /*clear=*/true);
 }
 
 }  // namespace sptx::distributed

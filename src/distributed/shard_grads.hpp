@@ -21,9 +21,12 @@
 
 #include "src/kg/triplet_source.hpp"
 #include "src/models/model.hpp"
+#include "src/models/step_rows.hpp"
 #include "src/sparse/plan_cache.hpp"
 
 namespace sptx::distributed {
+
+using models::StepRows;
 
 /// One parameter's gradient contribution from one shard. Sparse when the
 /// parameter is entity/relation-indexed (only the rows in the shard's
@@ -49,6 +52,9 @@ struct Replica {
   index_t num_entities = 0;                  // the training data's vocabulary
   index_t num_relations = 0;
   bool support_verified = false;
+  /// post_step() has run over every row once (xavier rows start off unit
+  /// norm); later steps renormalize only their support rows.
+  bool constrained = false;
 
   /// Adopt `m` and materialise every gradient buffer (zeroed) so the
   /// harvest/reduce cycle never races lazy allocation.
@@ -88,29 +94,23 @@ bool for_each_batch(const kg::TripletSource& data, std::uint64_t seed,
 float compute_shard(Replica& rep, const Batch& batch, index_t s,
                     ShardGrads& out);
 
-/// The per-parameter row support of a triplet set: the rows a backward
-/// over `pos`/`neg` can write, and so the rows a harvest copies and a step
-/// touches. rows[i] is nullptr for a kDense parameter. Not copyable: rows
-/// points into the object's own lists.
-struct StepRows {
-  std::vector<index_t> ents, rels, stacked;
-  std::vector<std::vector<index_t>> blocks;       // per-param kRelationBlocks
-  std::vector<const std::vector<index_t>*> rows;  // nullptr = dense param
-
-  StepRows(Replica& rep, std::span<const Triplet> pos,
-           std::span<const Triplet> neg);
-  StepRows(const StepRows&) = delete;
-  StepRows& operator=(const StepRows&) = delete;
-};
+/// The row support of `pos`/`neg` over `rep`'s parameters: the rows a
+/// backward over them can write, and so the rows a harvest copies and a
+/// step touches.
+StepRows step_rows(const Replica& rep, std::span<const Triplet> pos,
+                   std::span<const Triplet> neg);
 
 /// SGD-step `rep` with the reduced gradient held in `grads`' buffers,
-/// restricted to `support`, then post_step(). Reads `grads` only.
+/// restricted to `support`, then post_step() — over every row on the
+/// replica's first step, over the support afterwards. With `clear` the step
+/// zeroes the support rows of `grads` as it reads them; without, it only
+/// reads them.
 void step_replica(Replica& rep, std::vector<autograd::Variable>& grads,
-                  const StepRows& support, float lr);
+                  const StepRows& support, float lr, bool clear);
 
 /// The master's step, taken by the driver and by every worker process once
-/// the reduced gradient sits in `rep`'s own buffers: step_replica, then
-/// re-zero the support rows so the next batch starts clean.
+/// the reduced gradient sits in `rep`'s own buffers: step_replica, clearing
+/// the support rows so the next batch starts clean.
 void step_and_clear(Replica& rep, const StepRows& support, float lr);
 
 }  // namespace sptx::distributed

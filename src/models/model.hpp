@@ -7,7 +7,8 @@
 //  * score(batch)    — fast non-autograd scoring for evaluation;
 //  * params()        — leaf Variables for the optimizer;
 //  * post_step()     — per-batch constraints (entity renormalisation for
-//    TransE-family, unit normals for TransH).
+//    TransE-family, unit normals for TransH), over every row or over the
+//    rows a step moved (post_step(const StepRows&)).
 // Scores are distances for translational models (lower = more plausible)
 // and similarities for the semiring models (higher = better);
 // higher_is_better() tells the evaluator which way to rank.
@@ -27,6 +28,8 @@
 #include "src/sparse/plan_cache.hpp"
 
 namespace sptx::models {
+
+struct StepRows;  // step_rows.hpp
 
 enum class Dissimilarity { kL1, kL2 };
 
@@ -140,8 +143,17 @@ class KgeModel {
   /// which is always safe. Models with exotic layouts should override.
   virtual std::vector<ParamIndexSpace> param_index_spaces();
 
-  /// Apply model constraints after an optimizer step.
+  /// Apply model constraints after an optimizer step, over every row.
   virtual void post_step() {}
+
+  /// The same constraints over the rows of `rows` only, for a step that
+  /// moved no other row (Optimizer::step(RowSupport)). The result must
+  /// equal post_step()'s whenever every other row already satisfies the
+  /// constraints — which holds after one post_step(), because each
+  /// constraint is an exact fixed point (a unit row renormalizes to itself
+  /// bit for bit, a clamped entry clamps to itself). The default runs
+  /// post_step().
+  virtual void post_step(const StepRows& rows);
 
   /// Probe geometry for the ANN serving path, or nullopt when no
   /// rank-preserving single-table transform exists for the family (TorusE's

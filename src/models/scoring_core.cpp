@@ -37,6 +37,8 @@ std::vector<ParamIndexSpace> KgeModel::param_index_spaces() {
   return spaces;
 }
 
+void KgeModel::post_step(const StepRows&) { post_step(); }
+
 void KgeModel::ann_query(bool, std::int64_t, std::int64_t, float*) const {
   throw Error(name() + " advertises no ann_support(); the serving layer must "
                        "not route its top-k queries through the ANN index");

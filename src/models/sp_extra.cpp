@@ -1,9 +1,11 @@
 #include "src/models/sp_extra.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/kernels/fused.hpp"
 #include "src/models/sp_transr.hpp"  // build_relation_selection_csr
+#include "src/models/step_rows.hpp"
 #include "src/profiling/timer.hpp"
 #include "src/sparse/incidence.hpp"
 
@@ -15,9 +17,18 @@ autograd::Variable norm_for(const autograd::Variable& x, Dissimilarity d) {
   return d == Dissimilarity::kL2 ? autograd::row_l2(x) : autograd::row_l1(x);
 }
 
-void clamp_nonnegative(Matrix& m, float floor_at = 1e-4f) {
-  for (index_t i = 0; i < m.size(); ++i) {
-    if (m.data()[i] < floor_at) m.data()[i] = floor_at;
+/// Raises entries below `floor_at` to it: in the listed rows, or in every
+/// row when `rows` is null. Clamping a clamped entry changes nothing.
+void clamp_nonnegative(Matrix& m, const std::vector<index_t>* rows = nullptr,
+                       float floor_at = 1e-4f) {
+  const auto clamp_row = [&](index_t r) {
+    float* x = m.row(r);
+    for (index_t j = 0; j < m.cols(); ++j) x[j] = std::max(x[j], floor_at);
+  };
+  if (rows == nullptr) {
+    for (index_t r = 0; r < m.rows(); ++r) clamp_row(r);
+  } else {
+    for (index_t r : *rows) clamp_row(r);
   }
 }
 
@@ -159,6 +170,10 @@ void SpTransD::post_step() {
   if (config_.normalize_entities) entities_.normalize_rows();
 }
 
+void SpTransD::post_step(const StepRows& rows) {
+  if (config_.normalize_entities) entities_.normalize_rows(rows.ents);
+}
+
 // --------------------------------------------------------------- SpTransA
 
 SpTransA::SpTransA(index_t num_entities, index_t num_relations,
@@ -255,6 +270,11 @@ void SpTransA::post_step() {
   }
 }
 
+void SpTransA::post_step(const StepRows& rows) {
+  clamp_nonnegative(metric_.mutable_weights(), &rows.rels);
+  if (config_.normalize_entities) ent_rel_.normalize_rows(rows.ents);
+}
+
 // --------------------------------------------------------------- SpTransC
 
 SpTransC::SpTransC(index_t num_entities, index_t num_relations,
@@ -334,6 +354,10 @@ std::vector<autograd::Variable> SpTransC::params() {
 void SpTransC::post_step() {
   if (!config_.normalize_entities) return;
   ent_rel_.normalize_rows_prefix(num_entities_);
+}
+
+void SpTransC::post_step(const StepRows& rows) {
+  if (config_.normalize_entities) ent_rel_.normalize_rows(rows.ents);
 }
 
 // --------------------------------------------------------------- SpTransM
@@ -434,6 +458,11 @@ void SpTransM::post_step() {
   clamp_nonnegative(rel_weight_.mutable_weights());
   if (!config_.normalize_entities) return;
   ent_rel_.normalize_rows_prefix(num_entities_);
+}
+
+void SpTransM::post_step(const StepRows& rows) {
+  clamp_nonnegative(rel_weight_.mutable_weights(), &rows.rels);
+  if (config_.normalize_entities) ent_rel_.normalize_rows(rows.ents);
 }
 
 }  // namespace sptx::models

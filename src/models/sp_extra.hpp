@@ -40,6 +40,7 @@ class SpTransD final : public ScoringCoreModel {
   std::vector<float> score(std::span<const Triplet> batch) const override;
   std::vector<autograd::Variable> params() override;
   void post_step() override;
+  void post_step(const StepRows& rows) override;
 
  private:
   nn::EmbeddingTable entities_;       // N × d
@@ -59,6 +60,7 @@ class SpTransA final : public ScoringCoreModel {
   std::vector<float> score(std::span<const Triplet> batch) const override;
   std::vector<autograd::Variable> params() override;
   void post_step() override;
+  void post_step(const StepRows& rows) override;
 
   /// Candidates rank by the score itself: Σ_j w_rj (q − x)_j² with the
   /// per-relation diagonal metric as probe weights (w ≥ 0 via post_step).
@@ -82,6 +84,7 @@ class SpTransC final : public ScoringCoreModel {
   std::vector<float> score(std::span<const Triplet> batch) const override;
   std::vector<autograd::Variable> params() override;
   void post_step() override;
+  void post_step(const StepRows& rows) override;
 
   /// Score is ||q − x||₂² — monotone in L2, so an L2 probe is exact.
   std::optional<AnnSupport> ann_support() const override;
@@ -103,6 +106,7 @@ class SpTransM final : public ScoringCoreModel {
   std::vector<float> score(std::span<const Triplet> batch) const override;
   std::vector<autograd::Variable> params() override;
   void post_step() override;
+  void post_step(const StepRows& rows) override;
 
   /// Score is w_r·||q − x|| with w_r ≥ 0 constant across one query's
   /// candidates — rank-preserved by the unweighted config-norm probe.

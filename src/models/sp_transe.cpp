@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "src/kernels/fused.hpp"
+#include "src/models/step_rows.hpp"
 #include "src/profiling/timer.hpp"
 #include "src/sparse/incidence.hpp"
 
@@ -101,6 +102,10 @@ void SpTransE::post_step() {
   // Normalise only the entity block; relation translations stay free
   // (the TransE training protocol).
   ent_rel_.normalize_rows_prefix(num_entities_);
+}
+
+void SpTransE::post_step(const StepRows& rows) {
+  if (config_.normalize_entities) ent_rel_.normalize_rows(rows.ents);
 }
 
 }  // namespace sptx::models

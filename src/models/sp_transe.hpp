@@ -25,6 +25,7 @@ class SpTransE final : public ScoringCoreModel {
   std::vector<float> score(std::span<const Triplet> batch) const override;
   std::vector<autograd::Variable> params() override;
   void post_step() override;
+  void post_step(const StepRows& rows) override;
 
   /// Tails rank by ||(h + r) − t||, heads by ||(t − r) − h|| — the exact
   /// score under the config norm — so the probe metric IS the score.

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "src/kernels/fused.hpp"
+#include "src/models/step_rows.hpp"
 #include "src/models/sp_transr.hpp"  // build_relation_selection_csr
 #include "src/profiling/timer.hpp"
 #include "src/sparse/incidence.hpp"
@@ -106,6 +107,11 @@ void SpTransH::post_step() {
   // TransH constraints: unit hyperplane normals always; entity norm cap.
   normals_.normalize_rows();
   if (config_.normalize_entities) entities_.normalize_rows();
+}
+
+void SpTransH::post_step(const StepRows& rows) {
+  normals_.normalize_rows(rows.rels);
+  if (config_.normalize_entities) entities_.normalize_rows(rows.ents);
 }
 
 }  // namespace sptx::models

@@ -29,6 +29,7 @@ class SpTransH final : public ScoringCoreModel {
   std::vector<float> score(std::span<const Triplet> batch) const override;
   std::vector<autograd::Variable> params() override;
   void post_step() override;
+  void post_step(const StepRows& rows) override;
 
  private:
   nn::EmbeddingTable entities_;   // N × d

@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "src/kernels/fused.hpp"
+#include "src/models/step_rows.hpp"
 #include "src/profiling/timer.hpp"
 #include "src/sparse/incidence.hpp"
 
@@ -131,6 +132,10 @@ std::vector<ParamIndexSpace> SpTransR::param_index_spaces() {
 void SpTransR::post_step() {
   if (!config_.normalize_entities) return;
   entities_.normalize_rows();
+}
+
+void SpTransR::post_step(const StepRows& rows) {
+  if (config_.normalize_entities) entities_.normalize_rows(rows.ents);
 }
 
 }  // namespace sptx::models

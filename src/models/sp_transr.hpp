@@ -33,6 +33,7 @@ class SpTransR final : public ScoringCoreModel {
   std::vector<autograd::Variable> params() override;
   std::vector<ParamIndexSpace> param_index_spaces() override;
   void post_step() override;
+  void post_step(const StepRows& rows) override;
 
  private:
   nn::EmbeddingTable entities_;     // N × d

@@ -9,8 +9,6 @@
 #include <cstring>
 
 #include "src/common/error.hpp"
-#include "src/runtime/parallel.hpp"
-#include "src/common/simd.hpp"
 
 namespace sptx::nn {
 
@@ -24,24 +22,6 @@ EmbeddingTable::EmbeddingTable(index_t rows, index_t dim, Rng& rng) {
 EmbeddingTable::EmbeddingTable(Matrix init) {
   var_ = autograd::Variable::leaf(std::move(init), /*requires_grad=*/true,
                                   "embedding");
-}
-
-void EmbeddingTable::normalize_rows_prefix(index_t count) {
-  SPTX_CHECK(count >= 0 && count <= rows(), "normalize prefix out of range");
-  // Runs after every optimizer step over the whole entity block, so it is a
-  // per-batch O(N·d) pass: vectorized per row, rows split across threads
-  // (each row is touched by exactly one task — no synchronization needed).
-  Matrix& w = var_.mutable_value();
-  const index_t d = w.cols();
-  runtime::parallel_for(
-      0, count,
-      [&](index_t i) {
-        float* row = w.row(i);
-        const float sq = simd::squared_norm(row, d);
-        if (sq <= 0.0f) return;
-        simd::scale(row, d, 1.0f / std::sqrt(sq));
-      },
-      /*grain=*/1024);
 }
 
 // ---- StreamingEmbedding ---------------------------------------------------

@@ -8,6 +8,7 @@
 // the same Variable so models are agnostic to the storage.
 #pragma once
 
+#include <span>
 #include <string>
 
 #include "src/autograd/variable.hpp"
@@ -28,12 +29,17 @@ class EmbeddingTable {
   index_t rows() const { return var_.rows(); }
   index_t dim() const { return var_.cols(); }
 
-  /// L2-normalise every row in place (TransE normalises entities per batch).
+  /// L2-normalise rows in place (Matrix::normalize_rows_l2_: rows already
+  /// unit keep every bit). Every row — TransE normalises entities per batch;
+  /// the first `count` rows — for the stacked [entities; relations] layout
+  /// where relation translations stay free; or a batch's sorted row list.
   void normalize_rows() { var_.mutable_value().normalize_rows_l2_(); }
-
-  /// L2-normalise only the first `count` rows — for the stacked
-  /// [entities; relations] layout where relation translations stay free.
-  void normalize_rows_prefix(index_t count);
+  void normalize_rows_prefix(index_t count) {
+    var_.mutable_value().normalize_rows_l2_(count);
+  }
+  void normalize_rows(std::span<const index_t> rows) {
+    var_.mutable_value().normalize_rows_l2_(rows);
+  }
 
  private:
   autograd::Variable var_;

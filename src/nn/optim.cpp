@@ -1,8 +1,10 @@
 #include "src/nn/optim.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "src/common/error.hpp"
+#include "src/common/simd.hpp"
 #include "src/profiling/flops.hpp"
 
 namespace sptx::nn {
@@ -24,50 +26,99 @@ void check_slot_state(const std::vector<autograd::Variable>& params,
                          << " vs parameter " << params[i].value().shape_str());
 }
 
+/// The (row list, row count) pair a row kernel walks for parameter `w`.
+std::pair<const index_t*, index_t> walk(const Matrix& w,
+                                        const std::vector<index_t>* rows) {
+  if (rows == nullptr) return {nullptr, w.rows()};
+  return {rows->data(), static_cast<index_t>(rows->size())};
+}
+
+#define SPTX_WIDTH_INC "src/nn/optim.inc"
+#include "src/common/foreach_width.inc"
+
 }  // namespace
 
-void Optimizer::apply_constraints() {
+void Optimizer::step() { apply({}, /*clear=*/false); }
+
+void Optimizer::step(RowSupport support) {
+  if (!moves_only_support()) {
+    apply({}, /*clear=*/true);
+    return;
+  }
+  SPTX_CHECK(support.size() == params_.size(),
+             "row support has " << support.size() << " entries, optimizer has "
+                                << params_.size() << " parameters");
+  apply(support, /*clear=*/true);
+}
+
+void Optimizer::apply(RowSupport support, bool clear) {
+  const auto rows_of = [&](std::size_t i) -> const std::vector<index_t>* {
+    return support.empty() ? nullptr : support[i];
+  };
+  // Row by row in row order into a double: the rows a support skips hold
+  // zero gradient and would add exact zeros, so a clipped support step
+  // matches the all-rows one bit for bit.
+  const auto each_grad_row = [&](auto&& fn) {
+    for (std::size_t i = 0; i < params_.size(); ++i) {
+      auto& p = params_[i];
+      if (!p.has_grad()) continue;
+      Matrix& g = p.grad();
+      if (const auto* rows = rows_of(i)) {
+        for (index_t r : *rows) fn(g.row(r), g.cols());
+      } else {
+        for (index_t r = 0; r < g.rows(); ++r) fn(g.row(r), g.cols());
+      }
+    }
+  };
   if (grad_clip_norm_ > 0.0f) {
     double sq = 0.0;
-    for (auto& p : params_) {
-      if (p.has_grad()) sq += static_cast<double>(p.grad().squared_norm());
-    }
+    each_grad_row([&](const float* row, index_t d) {
+      sq += static_cast<double>(simd::squared_norm(row, d));
+    });
     const double norm = std::sqrt(sq);
     if (norm > grad_clip_norm_) {
       const float scale = grad_clip_norm_ / static_cast<float>(norm);
-      for (auto& p : params_) {
-        if (p.has_grad()) p.grad().scale_(scale);
-      }
+      each_grad_row([&](float* row, index_t d) { simd::scale(row, d, scale); });
     }
   }
   if (weight_decay_ > 0.0f) {
     const float shrink = 1.0f - lr_ * weight_decay_;
     for (auto& p : params_) p.mutable_value().scale_(shrink);
   }
+  for (std::size_t i = 0; i < params_.size(); ++i) {
+    if (params_[i].has_grad()) update(i, rows_of(i), clear);
+  }
 }
 
 Sgd::Sgd(std::vector<autograd::Variable> params, float lr, float momentum)
     : Optimizer(std::move(params), lr), momentum_(momentum) {}
 
-void Sgd::step() {
-  apply_constraints();
-  if (momentum_ > 0.0f && velocity_.empty()) {
+void Sgd::update(std::size_t i, const std::vector<index_t>* rows,
+                 bool clear) {
+  Matrix& w = params_[i].mutable_value();
+  Matrix& g = params_[i].grad();
+  if (momentum_ == 0.0f) {
+    sgd_rows(w, g, rows, lr_, clear);
+    return;
+  }
+  if (velocity_.empty()) {
     velocity_.reserve(params_.size());
     for (auto& p : params_)
       velocity_.emplace_back(p.value().rows(), p.value().cols());
   }
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    auto& p = params_[i];
-    if (!p.has_grad()) continue;
-    if (momentum_ > 0.0f) {
-      Matrix& v = velocity_[i];
-      v.scale_(momentum_);
-      v.axpy_(1.0f, p.grad());
-      p.mutable_value().axpy_(-lr_, v);
-    } else {
-      p.mutable_value().axpy_(-lr_, p.grad());
-    }
-  }
+  const auto [list, n] = walk(w, rows);
+  profiling::count_flops(4 * n * w.cols());
+  SPTX_BY_WIDTH(momentum, w.data(), velocity_[i].data(), g.data(), w.cols(),
+                list, n, lr_, momentum_, clear);
+}
+
+void sgd_rows(Matrix& w, Matrix& g, const std::vector<index_t>* rows,
+              float lr, bool clear) {
+  SPTX_CHECK(w.same_shape(g), "sgd_rows: " << w.shape_str() << " vs "
+                                           << g.shape_str());
+  const auto [list, n] = walk(w, rows);
+  profiling::count_flops(2 * n * w.cols());
+  SPTX_BY_WIDTH(sgd, w.data(), g.data(), w.cols(), list, n, lr, clear);
 }
 
 void Sgd::import_state(std::vector<Matrix> state) {
@@ -82,21 +133,14 @@ Adagrad::Adagrad(std::vector<autograd::Variable> params, float lr, float eps)
     accum_.emplace_back(p.value().rows(), p.value().cols());
 }
 
-void Adagrad::step() {
-  apply_constraints();
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    auto& p = params_[i];
-    if (!p.has_grad()) continue;
-    const Matrix& g = p.grad();
-    Matrix& acc = accum_[i];
-    Matrix& w = p.mutable_value();
-    profiling::count_flops(5 * g.size());
-    for (index_t k = 0; k < g.size(); ++k) {
-      const float gk = g.data()[k];
-      acc.data()[k] += gk * gk;
-      w.data()[k] -= lr_ * gk / (std::sqrt(acc.data()[k]) + eps_);
-    }
-  }
+void Adagrad::update(std::size_t i, const std::vector<index_t>* rows,
+                     bool clear) {
+  auto& p = params_[i];
+  Matrix& w = p.mutable_value();
+  const auto [list, n] = walk(w, rows);
+  profiling::count_flops(5 * n * w.cols());
+  SPTX_BY_WIDTH(adagrad, w.data(), accum_[i].data(), p.grad().data(),
+                w.cols(), list, n, lr_, eps_, clear);
 }
 
 void Adagrad::import_state(std::vector<Matrix> state) {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -15,15 +16,33 @@
 
 namespace sptx::nn {
 
-/// Interface over a set of parameters (autograd leaf Variables).
+/// A step's row support, one entry per parameter: the sorted rows of
+/// params()[i] its gradient may be nonzero in, or nullptr for every row.
+using RowSupport = std::span<const std::vector<index_t>* const>;
+
+/// Interface over a set of parameters (autograd leaf Variables). Each
+/// optimizer is one row kernel (optim.inc); a step runs it over every row
+/// or over a batch's row support.
 class Optimizer {
  public:
   explicit Optimizer(std::vector<autograd::Variable> params, float lr)
       : params_(std::move(params)), lr_(lr) {}
   virtual ~Optimizer() = default;
 
-  /// Apply one update from the accumulated gradients.
-  virtual void step() = 0;
+  /// Apply one update from the accumulated gradients to every row.
+  void step();
+
+  /// Apply the update to the rows in `support` only, zeroing those
+  /// gradient rows as it reads them. Rows outside the support must hold
+  /// zero gradient: the update leaves such a row bit-for-bit unchanged, so
+  /// this equals step() followed by zero_grad(). When moves_only_support()
+  /// is false that is what runs.
+  void step(RowSupport support);
+
+  /// Whether a step leaves rows without gradient untouched. Momentum keeps
+  /// moving them and weight decay shrinks them, so either makes every step
+  /// run over all rows; this follows from the settings, it is not a knob.
+  virtual bool moves_only_support() const { return weight_decay_ == 0.0f; }
 
   /// Stable identifier for checkpointing ("sgd", "adagrad").
   virtual std::string kind() const = 0;
@@ -53,23 +72,37 @@ class Optimizer {
   const std::vector<autograd::Variable>& params() const { return params_; }
 
  protected:
-  /// Weight decay + clipping, called by concrete steps before the update.
-  void apply_constraints();
+  /// The optimizer's row kernel over parameter i: the listed rows, or
+  /// every row when `rows` is null, zeroing the gradient rows it reads when
+  /// `clear`. Called only when the parameter has a gradient.
+  virtual void update(std::size_t i, const std::vector<index_t>* rows,
+                      bool clear) = 0;
 
   std::vector<autograd::Variable> params_;
   float lr_;
   float weight_decay_ = 0.0f;
   float grad_clip_norm_ = 0.0f;
+
+ private:
+  /// Clipping (over the support's rows), weight decay, then update() per
+  /// parameter; an empty support means every row.
+  void apply(RowSupport support, bool clear);
 };
 
 /// Plain SGD: w ← w − lr · g (optional classical momentum).
 class Sgd final : public Optimizer {
  public:
   Sgd(std::vector<autograd::Variable> params, float lr, float momentum = 0.0f);
-  void step() override;
   std::string kind() const override { return "sgd"; }
+  bool moves_only_support() const override {
+    return momentum_ == 0.0f && Optimizer::moves_only_support();
+  }
   std::vector<Matrix> export_state() const override { return velocity_; }
   void import_state(std::vector<Matrix> state) override;
+
+ protected:
+  void update(std::size_t i, const std::vector<index_t>* rows,
+              bool clear) override;
 
  private:
   float momentum_;
@@ -81,15 +114,24 @@ class Adagrad final : public Optimizer {
  public:
   Adagrad(std::vector<autograd::Variable> params, float lr,
           float eps = 1e-10f);
-  void step() override;
   std::string kind() const override { return "adagrad"; }
   std::vector<Matrix> export_state() const override { return accum_; }
   void import_state(std::vector<Matrix> state) override;
+
+ protected:
+  void update(std::size_t i, const std::vector<index_t>* rows,
+              bool clear) override;
 
  private:
   float eps_;
   std::vector<Matrix> accum_;
 };
+
+/// w −= lr·g over the listed rows of w, or every row when `rows` is null,
+/// zeroing those rows of g when `clear`: Sgd's row kernel, shared with the
+/// distributed trainer's replica step.
+void sgd_rows(Matrix& w, Matrix& g, const std::vector<index_t>* rows,
+              float lr, bool clear);
 
 /// Multiplies the optimizer lr by `gamma` every `step_size` epochs.
 class StepLr {

@@ -1,7 +1,7 @@
 // Phase timers and a hotspot registry.
 //
 // Reproduces the paper's two time measurements:
-//  * PhaseTimer — forward / backward / step accumulation per epoch
+//  * PhaseTimer — forward / backward / step / post-step accumulation
 //    (Table 1, Figure 8), the way the paper times with Python's time module.
 //  * HotspotRegistry — named per-function time attribution (Figure 2's
 //    "top CPU-intensive functions"); autograd ops and kernels report their
@@ -23,18 +23,24 @@ inline double seconds_since(clock::time_point t0) {
   return std::chrono::duration<double>(clock::now() - t0).count();
 }
 
-/// Accumulates wall time of the three training phases.
+/// Accumulates wall time of the training phases: forward, backward, the
+/// optimizer step (with the gradient clear) and the model's post-step
+/// constraints (entity renormalization).
 struct PhaseTimer {
   double forward_s = 0.0;
   double backward_s = 0.0;
   double step_s = 0.0;
+  double post_step_s = 0.0;
 
-  double total() const { return forward_s + backward_s + step_s; }
-  void reset() { forward_s = backward_s = step_s = 0.0; }
+  double total() const {
+    return forward_s + backward_s + step_s + post_step_s;
+  }
+  void reset() { forward_s = backward_s = step_s = post_step_s = 0.0; }
   PhaseTimer& operator+=(const PhaseTimer& o) {
     forward_s += o.forward_s;
     backward_s += o.backward_s;
     step_s += o.step_s;
+    post_step_s += o.post_step_s;
     return *this;
   }
 };

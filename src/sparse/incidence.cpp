@@ -1,6 +1,8 @@
 #include "src/sparse/incidence.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "src/profiling/counters.hpp"
 
@@ -133,32 +135,58 @@ Csr build_relation_selection_csr(std::span<const Triplet> batch,
   return a;
 }
 
+namespace {
+
+/// Sorted unique ids: mark each in a 64-bit-word bitmap sized to the
+/// largest, then scan the words in order — linear in the ids plus
+/// max_id / 64, where sort + unique is O(m log m).
+template <class ForEachId>
+std::vector<index_t> sorted_unique(ForEachId&& for_each_id) {
+  index_t max_id = -1;
+  for_each_id([&](index_t id) {
+    SPTX_CHECK(id >= 0, "negative id " << id);
+    max_id = std::max(max_id, id);
+  });
+  std::vector<std::uint64_t> marks(static_cast<std::size_t>(max_id / 64 + 1),
+                                   0);
+  std::size_t count = 0;
+  for_each_id([&](index_t id) {
+    std::uint64_t& word = marks[static_cast<std::size_t>(id >> 6)];
+    const std::uint64_t bit = std::uint64_t{1} << (id & 63);
+    count += (word & bit) == 0;
+    word |= bit;
+  });
+  std::vector<index_t> ids;
+  ids.reserve(count);
+  for (std::size_t w = 0; w < marks.size(); ++w) {
+    for (std::uint64_t m = marks[w]; m != 0; m &= m - 1)
+      ids.push_back(static_cast<index_t>(w * 64) + std::countr_zero(m));
+  }
+  return ids;
+}
+
+}  // namespace
+
 std::vector<index_t> touched_entity_ids(std::span<const Triplet> a,
                                         std::span<const Triplet> b) {
-  std::vector<index_t> ids;
-  ids.reserve(2 * (a.size() + b.size()));
-  for (const Triplet& t : a) {
-    ids.push_back(t.head);
-    ids.push_back(t.tail);
-  }
-  for (const Triplet& t : b) {
-    ids.push_back(t.head);
-    ids.push_back(t.tail);
-  }
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  return ids;
+  return sorted_unique([&](auto&& visit) {
+    for (const Triplet& t : a) {
+      visit(t.head);
+      visit(t.tail);
+    }
+    for (const Triplet& t : b) {
+      visit(t.head);
+      visit(t.tail);
+    }
+  });
 }
 
 std::vector<index_t> touched_relation_ids(std::span<const Triplet> a,
                                           std::span<const Triplet> b) {
-  std::vector<index_t> ids;
-  ids.reserve(a.size() + b.size());
-  for (const Triplet& t : a) ids.push_back(t.relation);
-  for (const Triplet& t : b) ids.push_back(t.relation);
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  return ids;
+  return sorted_unique([&](auto&& visit) {
+    for (const Triplet& t : a) visit(t.relation);
+    for (const Triplet& t : b) visit(t.relation);
+  });
 }
 
 }  // namespace sptx

@@ -58,9 +58,11 @@ Csr build_relation_selection_csr(std::span<const Triplet> batch,
 
 /// Sorted unique entity ids appearing as head or tail across both spans —
 /// the nonzero column support of the batch's incidence structure restricted
-/// to the entity block. The distributed trainer's sparse all-reduce moves
-/// only these embedding rows (gradients outside the support are identically
-/// zero because every backward scatter lands inside it).
+/// to the entity block. The trainer steps and renormalizes only these
+/// embedding rows and the distributed trainer's sparse all-reduce moves only
+/// them (gradients outside the support are identically zero because every
+/// backward scatter lands inside it). Linear time: a bitmap mark and scan
+/// sized to the largest id. Ids must be non-negative.
 std::vector<index_t> touched_entity_ids(std::span<const Triplet> a,
                                         std::span<const Triplet> b);
 

@@ -180,14 +180,19 @@ void Matrix::scale_rows_(const Matrix& col) {
   }
 }
 
-void Matrix::normalize_rows_l2_() {
-  profiling::count_flops(3 * size());
-  for (index_t i = 0; i < rows_; ++i) {
-    float* r = row(i);
-    const float sq = simd::squared_norm(r, cols_);
-    if (sq <= 0.0f) continue;
-    simd::scale(r, cols_, 1.0f / std::sqrt(sq));
-  }
+void Matrix::normalize_rows_l2_(index_t count) {
+  SPTX_CHECK(count >= 0 && count <= rows_,
+             "normalize_rows_l2_: " << count << " rows of " << shape_str());
+  profiling::count_flops(3 * count * cols_);
+  simd::normalize_rows(data_, cols_, nullptr, count);
+}
+
+void Matrix::normalize_rows_l2_(std::span<const index_t> rows) {
+  SPTX_CHECK(rows.empty() || (rows.front() >= 0 && rows.back() < rows_),
+             "normalize_rows_l2_: row list outside " << shape_str());
+  const auto n = static_cast<index_t>(rows.size());
+  profiling::count_flops(3 * n * cols_);
+  simd::normalize_rows(data_, cols_, rows.data(), n);
 }
 
 float Matrix::sum() const {

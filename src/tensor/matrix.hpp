@@ -88,9 +88,14 @@ class Matrix {
   void axpy_(float alpha, const Matrix& o);    // this += alpha * o
   /// this[i,:] *= col[i] for a (rows×1) column vector.
   void scale_rows_(const Matrix& col);
-  /// L2-normalize every row in place (no-op on zero rows). TransE re-
-  /// normalizes entity embeddings each batch; exposed here for that.
-  void normalize_rows_l2_();
+  /// L2-normalize rows in place: rows [0, count), or the listed rows
+  /// (sorted), or every row. Rows already within
+  /// simd::unit_norm_tolerance(cols) of norm 1, and zero rows, keep every
+  /// bit, so a second pass changes nothing (see simd::normalize_rows).
+  /// TransE-family models renormalize entity rows after each step.
+  void normalize_rows_l2_(index_t count);
+  void normalize_rows_l2_(std::span<const index_t> rows);
+  void normalize_rows_l2_() { normalize_rows_l2_(rows_); }
 
   // ---- Reductions --------------------------------------------------------
   float sum() const;

@@ -9,6 +9,7 @@
 
 #include "src/common/fault.hpp"
 #include "src/models/checkpoint.hpp"
+#include "src/models/step_rows.hpp"
 #include "src/profiling/counters.hpp"
 #include "src/profiling/flops.hpp"
 #include "src/runtime/task_pool.hpp"
@@ -43,6 +44,13 @@ struct TrainLoop {
   nn::CosineLr cosine_lr;
   TrainResult result;
 
+  /// The model's parameters and their index spaces, aligned with opt's.
+  std::vector<autograd::Variable> params;
+  std::vector<models::ParamIndexSpace> spaces;
+  /// The first batch has run: every gradient was cleared before it, the
+  /// declared support checked and every row constrained after it.
+  bool constrained = false;
+
   float best_loss = std::numeric_limits<float>::infinity();
   int epochs_without_improvement = 0;
 
@@ -68,7 +76,9 @@ struct TrainLoop {
                 : std::unique_ptr<nn::Optimizer>(
                       std::make_unique<nn::Sgd>(m.params(), c.lr))),
         step_lr(*opt, c.step_lr_every, c.step_lr_gamma),
-        cosine_lr(*opt, std::max(c.epochs, 1)) {
+        cosine_lr(*opt, std::max(c.epochs, 1)),
+        params(m.params()),
+        spaces(m.param_index_spaces()) {
     opt->set_weight_decay(c.weight_decay);
     opt->set_grad_clip_norm(c.grad_clip_norm);
   }
@@ -86,10 +96,18 @@ struct TrainLoop {
     }
   }
 
-  /// One forward/backward/step over a batch-loss closure.
+  /// One forward/backward/step over a batch-loss closure. The step, the
+  /// gradient clear and the constraints run over the batch's row support
+  /// only: the rows its backward wrote. The first batch clears every
+  /// gradient before it and constrains every row after it (xavier rows
+  /// start off unit norm); after that every row outside a batch's support
+  /// already satisfies the constraints and has not moved, so the result is
+  /// bit-identical to zero_grad(), step() and post_step() over whole tables.
+  /// The first batch also checks the model's declared support: a gradient
+  /// row outside it would never be applied or cleared.
   template <typename LossFn>
-  float run_batch(const LossFn& batch_loss) {
-    opt->zero_grad();
+  float run_batch(const BatchPlan& bp, const LossFn& batch_loss) {
+    if (!constrained) opt->zero_grad();
     autograd::Variable loss;
     {
       profiling::ScopedAccum fwd(result.phases.forward_s);
@@ -99,10 +117,21 @@ struct TrainLoop {
       profiling::ScopedAccum bwd(result.phases.backward_s);
       loss.backward();
     }
+    const auto step_start = profiling::clock::now();
+    const models::StepRows support(params, spaces, model.num_entities(),
+                                   model.num_relations(),
+                                   bp.pos->triplets(), bp.neg->triplets());
+    opt->step(support.rows);
+    if (!constrained) models::check_support_cleared(params, model.name());
+    result.phases.step_s += profiling::seconds_since(step_start);
     {
-      profiling::ScopedAccum stp(result.phases.step_s);
-      opt->step();
-      model.post_step();
+      profiling::ScopedAccum post(result.phases.post_step_s);
+      if (constrained && opt->moves_only_support()) {
+        model.post_step(support);
+      } else {
+        model.post_step();
+        constrained = true;
+      }
     }
     return loss.value().at(0, 0);
   }
@@ -303,7 +332,7 @@ void run_epochs(TrainLoop& loop) {
     double loss_sum = 0.0;
     index_t batches = 0;
     for (const BatchPlan& bp : plans) {
-      loss_sum += loop.run_batch([&]() {
+      loss_sum += loop.run_batch(bp, [&]() {
         return scoring ? scoring->loss(*bp.pos, *bp.neg)
                        : loop.model.loss(bp.pos->triplets(),
                                          bp.neg->triplets());

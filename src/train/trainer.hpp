@@ -3,10 +3,12 @@
 // Mirrors the paper's protocol (§5.3): pre-generated negatives (one per
 // positive, sampled outside the loop), minibatch margin-ranking training,
 // fixed learning rate 0.0004, optional LR scheduler (Appendix E). The loop
-// times the three phases separately — loss computation (forward), gradient
-// computation (backward), parameter update (step) — exactly the breakdown
-// of Table 1 / Figure 8, and snapshots FLOPs and peak tracked memory for
-// Tables 5/6.
+// times the phases separately — loss computation (forward), gradient
+// computation (backward), parameter update (step), model constraints
+// (post_step) — the breakdown of Table 1 / Figure 8, and snapshots FLOPs
+// and peak tracked memory for Tables 5/6. Step, gradient clear and
+// post_step run over the rows each batch touched (models/step_rows.hpp),
+// bit-identical to whole-table passes.
 //
 // Each epoch runs in two stages: plan compilation (stage the batch pairs,
 // pre-build the incidence matrices the model's ScoringRecipe names — see
@@ -90,7 +92,7 @@ struct TrainConfig {
 };
 
 struct TrainResult {
-  profiling::PhaseTimer phases;       // forward / backward / step seconds
+  profiling::PhaseTimer phases;       // forward / backward / step / post_step s
   std::vector<float> epoch_loss;      // mean margin loss per epoch
   double total_seconds = 0.0;
   std::int64_t peak_bytes = 0;        // tracked allocation high-water mark

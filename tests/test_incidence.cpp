@@ -1,6 +1,9 @@
 // Tests for the incidence-matrix builders (§4.2) — the core reformulation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/common/rng.hpp"
 #include "src/sparse/incidence.hpp"
 
@@ -121,6 +124,83 @@ TEST(Incidence, RelationColumnsOffsetByEntityCount) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+// touched_entity_ids / touched_relation_ids against the sort + unique
+// definition they replaced.
+std::vector<index_t> sorted_unique_ref(std::vector<index_t> ids) {
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
+}
+
+void expect_touched_match(std::span<const Triplet> a,
+                          std::span<const Triplet> b) {
+  std::vector<index_t> ents, rels;
+  for (auto span : {a, b}) {
+    for (const Triplet& t : span) {
+      ents.push_back(t.head);
+      ents.push_back(t.tail);
+      rels.push_back(t.relation);
+    }
+  }
+  EXPECT_EQ(touched_entity_ids(a, b), sorted_unique_ref(ents));
+  EXPECT_EQ(touched_relation_ids(a, b), sorted_unique_ref(rels));
+}
+
+TEST(TouchedIds, EmptySpans) {
+  const std::vector<Triplet> none;
+  EXPECT_TRUE(touched_entity_ids(none, none).empty());
+  EXPECT_TRUE(touched_relation_ids(none, none).empty());
+  const std::vector<Triplet> one = {{3, 1, 2}};
+  expect_touched_match(one, none);
+  expect_touched_match(none, one);
+}
+
+TEST(TouchedIds, AllDuplicates) {
+  const std::vector<Triplet> same(500, Triplet{7, 4, 7});
+  expect_touched_match(same, same);
+  EXPECT_EQ(touched_entity_ids(same, same), std::vector<index_t>{7});
+  EXPECT_EQ(touched_relation_ids(same, same), std::vector<index_t>{4});
+}
+
+TEST(TouchedIds, WordBoundariesAndMaxId) {
+  // Ids on both sides of every 64-bit word edge, and the vocabulary's last
+  // id in a vocabulary that is not a multiple of 64.
+  const index_t n = 14951;
+  std::vector<Triplet> a, b;
+  for (index_t id : {index_t{0}, index_t{63}, index_t{64}, index_t{127},
+                     index_t{128}, n - 65, n - 64, n - 1})
+    a.push_back({id, id % 5, n - 1 - id});
+  b.push_back({n - 1, 0, n - 1});
+  expect_touched_match(a, b);
+  EXPECT_EQ(touched_entity_ids(a, b).back(), n - 1);
+}
+
+TEST(TouchedIds, RandomBatchesWithTiledNegatives) {
+  Rng rng(17);
+  for (index_t m : {1, 31, 4096}) {
+    const auto pos = random_batch(m, 1000, 37, rng);
+    // k = 3 tiled negatives: the positives repeated k times, each copy with
+    // one side corrupted (the trainer's staged repetition-major layout).
+    std::vector<Triplet> neg;
+    for (int rep = 0; rep < 3; ++rep) {
+      for (Triplet t : pos) {
+        (rep % 2 == 0 ? t.head : t.tail) =
+            static_cast<std::int64_t>(rng.next_below(1000));
+        neg.push_back(t);
+      }
+    }
+    std::vector<Triplet> tiled_pos;
+    for (int rep = 0; rep < 3; ++rep)
+      tiled_pos.insert(tiled_pos.end(), pos.begin(), pos.end());
+    expect_touched_match(tiled_pos, neg);
+  }
+}
+
+TEST(TouchedIds, NegativeIdThrows) {
+  const std::vector<Triplet> bad = {{-1, 0, 2}};
+  EXPECT_THROW(touched_entity_ids(bad, {}), Error);
 }
 
 }  // namespace

@@ -11,10 +11,12 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include "src/common/cpu_features.hpp"
 #include "src/common/rng.hpp"
+#include "src/common/runtime_config.hpp"
 #include "src/common/simd.hpp"
 #include "src/sparse/incidence.hpp"
 #include "src/sparse/spmm.hpp"
@@ -266,6 +268,54 @@ TEST(KernelEquivalence, SimdRowPrimitivesMatchDoubleReference) {
           [&](std::size_t j) { return double(y[j]) - x[j]; });
     check("mul", [&](float* o) { simd::mul(o, x.data(), d); },
           [&](std::size_t j) { return double(y[j]) * x[j]; });
+  }
+}
+
+// simd::normalize_rows' unit-row rule: a rescaled row's computed squared
+// norm lands within unit_norm_tolerance(d) of 1, so a second pass changes
+// no bit. Rows are drawn uniform, scaled far from unit norm, or set within
+// a few tolerances of it on either side; both lane widths run.
+TEST(KernelEquivalence, NormalizeRowsIsAFixedPoint) {
+  constexpr index_t kRows = 100000, kChunk = 2500;
+  for (const char* no_simd : {"0", "1"}) {
+    const config::ScopedOverride width("SPTX_NO_SIMD", no_simd);
+    Rng rng(46);
+    for (index_t d : {1, 7, 8, 9, 50, 64, 100, 128, 512}) {
+      const float tau = simd::unit_norm_tolerance(d);
+      std::vector<float> rows(static_cast<std::size_t>(kChunk * d));
+      for (index_t done = 0; done < kRows; done += kChunk) {
+        for (index_t i = 0; i < kChunk; ++i) {
+          float* x = rows.data() + i * d;
+          double sq = 0.0;
+          for (index_t j = 0; j < d; ++j) {
+            x[j] = rng.uniform(-1.0f, 1.0f);
+            sq += double(x[j]) * x[j];
+          }
+          double s = 1.0;
+          switch (i % 3) {
+            case 0: break;  // as drawn
+            case 1: s = (i % 2 == 0 ? 1e3 : 1e-3); break;
+            default:  // squared norm about 1 ± 4τ
+              s = (1.0 + rng.uniform(-2.0f, 2.0f) * tau) / std::sqrt(sq);
+          }
+          for (index_t j = 0; j < d; ++j) x[j] = static_cast<float>(x[j] * s);
+        }
+        simd::normalize_rows(rows.data(), d, nullptr, kChunk);
+        for (index_t i = 0; i < kChunk; ++i) {
+          double sq = 0.0;
+          for (index_t j = 0; j < d; ++j)
+            sq += double(rows[i * d + j]) * rows[i * d + j];
+          ASSERT_NEAR(sq, 1.0, 1e-4) << "d=" << d << " row " << done + i;
+        }
+        const std::vector<float> once = rows;
+        simd::normalize_rows(rows.data(), d, nullptr, kChunk);
+        ASSERT_EQ(std::memcmp(rows.data(), once.data(),
+                              rows.size() * sizeof(float)),
+                  0)
+            << "second pass moved a row: d=" << d << " SPTX_NO_SIMD="
+            << no_simd;
+      }
+    }
   }
 }
 

@@ -245,11 +245,11 @@ int cmd_train(const Args& args) {
   if (result.checkpoints_written > 0)
     std::printf("wrote %d checkpoint(s), newest %s\n",
                 result.checkpoints_written, result.last_checkpoint.c_str());
-  std::printf("trained %s in %.2fs (fwd %.2fs, bwd %.2fs, step %.2fs); "
-              "peak %.1f MB, %.2f GFLOP\n",
+  std::printf("trained %s in %.2fs (fwd %.2fs, bwd %.2fs, step %.2fs, "
+              "post_step %.2fs); peak %.1f MB, %.2f GFLOP\n",
               engine.model().name().c_str(), result.total_seconds,
               result.phases.forward_s, result.phases.backward_s,
-              result.phases.step_s,
+              result.phases.step_s, result.phases.post_step_s,
               static_cast<double>(result.peak_bytes) / (1024.0 * 1024.0),
               static_cast<double>(result.flops) / 1e9);
 
